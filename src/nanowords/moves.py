@@ -280,29 +280,34 @@ def replay_path(start, path, alphabet):
 class NeighborCache:
     """Memoized neighbor expansion for one move system.
 
-    Neighbors are cached without a letter budget (insertions included up
-    to n+2) and filtered by budget at lookup, so one cache can back
-    several searches over the same system.
+    Neighbors are cached per (form, slack), where slack = min(2,
+    max_letters - n) is how many letters an insertion may add, so only
+    children inside the budget are built and one cache stays correct
+    across searches with different budgets.
     """
 
     def __init__(self, moves):
         self.moves = moves
         self._table = {}
 
-    def raw(self, form):
-        got = self._table.get(form)
+    def raw(self, form, slack):
+        got = self._table.get((form, slack))
         if got is None:
             phrase = form.to_phrase(self.moves.alphabet)
             got = tuple(
                 (site, canonical_form(apply_move(phrase, site)))
                 for site in find_move_sites(phrase, self.moves, ALL_KINDS,
-                                            phrase.n_letters + 2))
-            self._table[form] = got
+                                            phrase.n_letters + slack))
+            self._table[form, slack] = got
         return got
 
     def within(self, form, max_letters):
-        return [(site, child) for site, child in self.raw(form)
-                if child.n_letters <= max_letters]
+        slack = min(2, max_letters - form.n_letters)
+        if slack >= 0:
+            return self.raw(form, slack)
+        # Over the budget: keep only the deletions that get back under it.
+        return tuple((site, child) for site, child in self.raw(form, 0)
+                     if child.n_letters <= max_letters)
 
 
 def equivalent(phrase1, phrase2, moves, max_letters, max_states,

@@ -1,12 +1,14 @@
 import pytest
 
 from nanowords import (
+    ALL_KINDS,
     MoveSystem,
     Nanophrase,
     NeighborCache,
     StaleSite,
     apply_move,
     are_isomorphic,
+    builtin_data,
     canonical_form,
     enumerate_nanophrases,
     equivalent,
@@ -135,6 +137,35 @@ def test_every_move_has_an_inverse_on_enumeration(ab_alphabet):
                 assert _find_inverse(p, out, moves, max_letters=n + 1) is not None
 
 
+# n = 3 on links, and on curves with k = 2, together builds over 1.4 million
+# children; n <= 2 keeps this test to a few seconds.
+@pytest.mark.parametrize("name,k,max_n", [
+    ("curves", 1, 3), ("curves", 2, 2), ("links", 1, 2), ("links", 2, 2),
+    ("diagonal", 1, 3), ("diagonal", 2, 3),
+])
+def test_neighbor_cache_matches_reference_filter(name, k, max_n):
+    # Reference: build every child up to n+2 letters, then drop those
+    # over the budget.  One cache serves every form and budget, walked
+    # in ascending and descending budget order alternately.
+    data = builtin_data(name)
+    alphabet, moves = data.base_alphabet, data.base_moves
+    cache = NeighborCache(moves)
+    forms = [canonical_form(p) for n in range(max_n + 1)
+             for p in enumerate_nanophrases(alphabet, n, k)]
+    for i, form in enumerate(forms):
+        phrase = form.to_phrase(alphabet)
+        every = [(s, canonical_form(apply_move(phrase, s)))
+                 for s in find_move_sites(phrase, moves, ALL_KINDS,
+                                          phrase.n_letters + 2)]
+        budgets = list(range(max(form.n_letters - 2, 0), form.n_letters + 4))
+        if i % 2:
+            budgets.reverse()
+        for max_letters in budgets + budgets[::-1]:
+            expected = [(s, c) for s, c in every if c.n_letters <= max_letters]
+            assert list(cache.within(form, max_letters)) == expected, \
+                (form, max_letters)
+
+
 class TestEquivalent:
     def test_doubled_letter_is_trivial(self, one_symbol):
         moves = MoveSystem.standard(one_symbol, [("a", "a", "a")])
@@ -203,3 +234,17 @@ class TestEquivalent:
         v1 = equivalent(aa, empty, moves, 4, 1000, neighbor_cache=cache)
         v2 = equivalent(abba, empty, moves, 4, 1000, neighbor_cache=cache)
         assert v1.is_equivalent and v2.is_equivalent
+
+    def test_shared_neighbor_cache_across_budgets(self, diagonal):
+        # A cache first used at a small budget must not hand its smaller
+        # neighbor lists to a later search at a larger budget.
+        alphabet, moves = diagonal.base_alphabet, diagonal.base_moves
+        square = ph(alphabet, "ABAB", {"A": "a", "B": "a"})
+        empty = ph(alphabet, "", {})
+        shared = NeighborCache(moves)
+        equivalent(square, empty, moves, 4, 500_000, neighbor_cache=shared)
+        reused = equivalent(square, empty, moves, 6, 500_000, neighbor_cache=shared)
+        fresh = equivalent(square, empty, moves, 6, 500_000)
+        assert reused.is_equivalent
+        assert (reused.status, reused.path, reused.explored) == \
+            (fresh.status, fresh.path, fresh.explored)
