@@ -228,8 +228,8 @@ def cmd_equiv(args):
         raise NanowordError("the two inputs carry different move systems")
     p1, p2 = ctx1.phrase, ctx2.phrase
     needed = max(p1.n_letters, p2.n_letters)
-    max_letters = args.max_letters or needed + 2
-    max_states = args.max_states or 100_000
+    max_letters = needed + 2 if args.max_letters is None else args.max_letters
+    max_states = 100_000 if args.max_states is None else args.max_states
     if max_letters < needed:
         raise NanowordError(f"--max-letters must be at least {needed}")
     if max_states < 1:
@@ -432,8 +432,8 @@ def classify(ctx, n_letters, max_letters, max_states):
 
 def cmd_classify(args):
     ctx = load_set_context(args)
-    max_letters = args.max_letters or args.n + 2
-    max_states = args.max_states or 50_000
+    max_letters = args.n + 2 if args.max_letters is None else args.max_letters
+    max_states = 50_000 if args.max_states is None else args.max_states
     if max_letters < args.n or max_states < 1 or args.n < 0:
         raise NanowordError("budgets must be positive and cover the enumeration")
     seeds, classes, unknown_pairs, states, truncated = classify(

@@ -14,6 +14,7 @@ between them; the surrounding context may span components freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     AlphabetMismatch,
@@ -32,7 +33,6 @@ class StaleSite(NanowordError):
 MATCH_KINDS = ("M1", "M2", "M3", "M3inv")
 INSERTION_KINDS = ("M1ins", "M2ins")
 ALL_KINDS = MATCH_KINDS + INSERTION_KINDS
-_KIND_RANK = {kind: i for i, kind in enumerate(ALL_KINDS)}
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -55,12 +55,11 @@ class MoveSite:
     symbols: tuple = ()
 
 
-def _site_key(site):
-    return (_KIND_RANK[site.kind], site.positions, site.gaps, site.symbols)
-
-
 def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     """All admissible sites of the requested kinds, deterministically ordered.
+
+    Sites come out grouped by kind in ALL_KINDS order; within a kind they
+    ascend by positions, then gaps, then symbols.
 
     Insertion kinds are enumerated only when max_letters leaves room for
     the new letters; with kinds=None they are included exactly when a
@@ -91,6 +90,7 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
                     sites.append(MoveSite("M2", (i, i + 1, j, j + 1), (a, b)))
 
     if "M3" in wanted or "M3inv" in wanted:
+        m3, m3inv = [], []
         m = len(adj)
         for x in range(m):
             i = adj[x]
@@ -98,38 +98,52 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
                 j = adj[y]
                 if j < i + 2:
                     continue
+                # The first two pairs already decide whether either kind can match.
+                fwd = "M3" in wanted and flat[i] == flat[j]
+                inv = "M3inv" in wanted and flat[i + 1] == flat[j + 1]
+                if not (fwd or inv):
+                    continue
                 for z in range(y + 1, m):
                     l = adj[z]
                     if l < j + 2:
                         continue
                     pos = (i, i + 1, j, j + 1, l, l + 1)
-                    if ("M3" in wanted and flat[i] == flat[j]
-                            and flat[i + 1] == flat[l] and flat[j + 1] == flat[l + 1]):
+                    if fwd and flat[i + 1] == flat[l] and flat[j + 1] == flat[l + 1]:
                         a, b, c = flat[i], flat[i + 1], flat[j + 1]
                         if (proj[a], proj[b], proj[c]) in moves.s:
-                            sites.append(MoveSite("M3", pos, (a, b, c)))
-                    if ("M3inv" in wanted and flat[i + 1] == flat[j + 1]
-                            and flat[j] == flat[l] and flat[i] == flat[l + 1]):
+                            m3.append(MoveSite("M3", pos, (a, b, c)))
+                    if inv and flat[j] == flat[l] and flat[i] == flat[l + 1]:
                         a, b, c = flat[i + 1], flat[i], flat[j]
                         if (proj[a], proj[b], proj[c]) in moves.s:
-                            sites.append(MoveSite("M3inv", pos, (a, b, c)))
+                            m3inv.append(MoveSite("M3inv", pos, (a, b, c)))
+        sites += m3 + m3inv
 
-    if max_letters is not None and wanted & set(INSERTION_KINDS):
-        gaps = [(c, o) for c, comp in enumerate(phrase.components)
-                for o in range(len(comp) + 1)]
-        if "M1ins" in wanted and n + 1 <= max_letters:
-            for gap in gaps:
-                for sym in sorted(moves.q):
-                    sites.append(MoveSite("M1ins", gaps=(gap,), symbols=(sym,)))
-        if "M2ins" in wanted and n + 2 <= max_letters:
-            for gi in range(len(gaps)):
-                for gj in range(gi, len(gaps)):
-                    for pair in sorted(moves.r):
-                        sites.append(MoveSite("M2ins", gaps=(gaps[gi], gaps[gj]),
-                                              symbols=pair))
-
-    sites.sort(key=_site_key)
+    if max_letters is not None:
+        q = moves.q if "M1ins" in wanted and n + 1 <= max_letters else frozenset()
+        r = moves.r if "M2ins" in wanted and n + 2 <= max_letters else frozenset()
+        if q or r:
+            lengths = tuple(len(comp) for comp in phrase.components)
+            small = len(flat) + len(lengths) <= _SHARED_MAX_GAPS
+            sites += (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
     return sites
+
+
+def _insertion_sites(lengths, q, r):
+    gaps = [(c, o) for c, size in enumerate(lengths) for o in range(size + 1)]
+    sites = [MoveSite("M1ins", gaps=(gap,), symbols=(sym,))
+             for gap in gaps for sym in sorted(q)]
+    pairs = sorted(r)
+    sites += [MoveSite("M2ins", gaps=(gaps[gi], gaps[gj]), symbols=pair)
+              for gi in range(len(gaps)) for gj in range(gi, len(gaps))
+              for pair in pairs]
+    return tuple(sites)
+
+
+# Insertion sites depend only on the component lengths and the symbols,
+# so phrases of one shape can share one tuple of them.  A search revisits
+# a few small shapes; the memo keeps at most 32 shapes of at most 16 gaps.
+_SHARED_MAX_GAPS = 16
+_shared_insertion_sites = lru_cache(maxsize=32)(_insertion_sites)
 
 
 def _check_match(phrase, site, expected):
@@ -237,6 +251,76 @@ def _delete(phrase, positions, letters):
     return Nanophrase(phrase.alphabet, comps, proj, validate=False)
 
 
+def _form_children(form, sites):
+    """The child of a canonical form at each site, built on int tuples.
+
+    Gives the same forms as canonical_form(apply_move(phrase, site)) on
+    form.to_phrase(...), without materializing a Nanophrase.  The sites
+    must come from find_move_sites on that phrase, so they are not
+    rechecked.  An insertion at flat index g gives its first new letter
+    the rank max(flat[:g]) + 1 and shifts every rank at or above it by
+    the number of new letters; the shifted components are memoised per
+    (threshold, shift) for this one form.
+    """
+    pattern, proj_seq = form.pattern, form.proj_seq
+    starts, comp_of, prefix_max = [], [], [0]
+    for c, comp in enumerate(pattern):
+        starts.append(len(comp_of))
+        for r in comp:
+            comp_of.append(c)
+            prefix_max.append(max(r, prefix_max[-1]))
+    shifted = {}
+    children = []
+    for site in sites:
+        kind = site.kind
+        if kind not in INSERTION_KINDS:
+            children.append((site, _relabel_matched(pattern, proj_seq, comp_of, site)))
+            continue
+        (c, o) = site.gaps[0]
+        t = prefix_max[starts[c] + o] + 1
+        by = len(site.symbols)
+        comps = shifted.get((t, by))
+        if comps is None:
+            comps = shifted[t, by] = tuple(
+                tuple(r + by if r >= t else r for r in comp) for comp in pattern)
+        if kind == "M1ins":
+            comps = _splice(comps, c, o, (t, t))
+        else:
+            # Like apply_move: the closing pair goes in first, so that a
+            # second gap equal to the first ends up after the opening pair.
+            (c2, o2) = site.gaps[1]
+            comps = _splice(_splice(comps, c2, o2, (t + 1, t)), c, o, (t, t + 1))
+        children.append((site, CanonicalForm(
+            comps, proj_seq[:t - 1] + site.symbols + proj_seq[t - 1:])))
+    return tuple(children)
+
+
+def _splice(comps, c, o, pair):
+    comp = comps[c]
+    return comps[:c] + (comp[:o] + pair + comp[o:],) + comps[c + 1:]
+
+
+def _relabel_matched(pattern, proj_seq, comp_of, site):
+    # M1/M2 drop their positions, M3/M3inv swap their three pairs; then
+    # one pass renumbers the ranks by first occurrence.
+    flat = [r for comp in pattern for r in comp]
+    lengths = [len(comp) for comp in pattern]
+    if site.kind in ("M1", "M2"):
+        for p in reversed(site.positions):
+            del flat[p]
+            lengths[comp_of[p]] -= 1
+    else:
+        for p in site.positions[::2]:
+            flat[p], flat[p + 1] = flat[p + 1], flat[p]
+    new = {}
+    seq = [new.setdefault(r, len(new) + 1) for r in flat]
+    child, start = [], 0
+    for size in lengths:
+        child.append(tuple(seq[start:start + size]))
+        start += size
+    return CanonicalForm(tuple(child), tuple(proj_seq[r - 1] for r in new))
+
+
 @dataclass(frozen=True)
 class PathStep:
     """One replayable step: a site on the previous canonical form."""
@@ -283,7 +367,8 @@ class NeighborCache:
     Neighbors are cached per (form, slack), where slack = min(2,
     max_letters - n) is how many letters an insertion may add, so only
     children inside the budget are built and one cache stays correct
-    across searches with different budgets.
+    across searches with different budgets.  Children come from the int
+    kernel _form_children, not from apply_move.
     """
 
     def __init__(self, moves):
@@ -294,10 +379,8 @@ class NeighborCache:
         got = self._table.get((form, slack))
         if got is None:
             phrase = form.to_phrase(self.moves.alphabet)
-            got = tuple(
-                (site, canonical_form(apply_move(phrase, site)))
-                for site in find_move_sites(phrase, self.moves, ALL_KINDS,
-                                            phrase.n_letters + slack))
+            got = _form_children(form, find_move_sites(
+                phrase, self.moves, ALL_KINDS, phrase.n_letters + slack))
             self._table[form, slack] = got
         return got
 

@@ -133,6 +133,14 @@ class TestEquiv:
         code, _, err = run(capsys, "equiv", f1, f2)
         assert code == 2
 
+    def test_zero_state_budget_is_rejected(self, capsys, tmp_path):
+        # 0 is an explicit budget, not a request for the default.
+        f1 = write(tmp_path, "a.txt", "proj: A=a\nphrase: A A\n")
+        f2 = write(tmp_path, "b.txt", "phrase:\n")
+        code, _, err = run(capsys, "equiv", f1, f2, "--builtin", "diagonal",
+                           "--max-states", "0")
+        assert code == 2 and "must be positive" in err
+
 
 class TestLiftProject:
     def test_lift_then_project_round_trip(self, capsys, tmp_path):
@@ -195,6 +203,11 @@ class TestClassify:
                            "--max-letters", "4", "--max-states", "10")
         assert code == 0
         assert "truncated" in out and "unknown" in out
+
+    def test_zero_state_budget_is_rejected(self, capsys):
+        code, _, err = run(capsys, "classify", "--builtin", "curves", "--n", "1",
+                           "--max-states", "0")
+        assert code == 2 and "must be positive" in err
 
     def test_tsv_members(self, capsys):
         code, out, _ = run(capsys, "classify", "--builtin", "diagonal", "--n", "1",

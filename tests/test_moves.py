@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from nanowords import (
     ALL_KINDS,
+    CanonicalForm,
     MoveSystem,
     Nanophrase,
     NeighborCache,
@@ -15,6 +18,7 @@ from nanowords import (
     find_move_sites,
     replay_path,
 )
+from nanowords.moves import _form_children
 from conftest import ph
 
 
@@ -66,6 +70,23 @@ class TestSiteFinding:
         kinds = [s.kind for s in sites]
         assert kinds == sorted(kinds, key=("M1", "M2", "M3", "M3inv", "M1ins",
                                            "M2ins").index)
+
+    def test_sites_come_out_in_key_order(self, ab_alphabet, diagonal):
+        # Grouped by kind in ALL_KINDS order, then ascending by positions,
+        # gaps and symbols.
+        def key(site):
+            return (ALL_KINDS.index(site.kind), site.positions, site.gaps, site.symbols)
+
+        moves = MoveSystem.standard(ab_alphabet, [("a", "a", "a"), ("b", "b", "b")])
+        for n in range(5):
+            for p in enumerate_nanophrases(ab_alphabet, n, 2 if n < 4 else 1):
+                sites = _sites(p, moves, max_letters=n + 2)
+                assert sites == sorted(sites, key=key)
+        # An M3inv site that starts before the M3 site still comes after it.
+        p = ph(diagonal.base_alphabet, "ABCDBECEDA", dict.fromkeys("ABCDE", "a"))
+        sites = _sites(p, diagonal.base_moves, kinds=("M3", "M3inv"))
+        assert [(s.kind, s.positions) for s in sites] == [
+            ("M3", (1, 2, 4, 5, 6, 7)), ("M3inv", (0, 1, 3, 4, 8, 9))]
 
 
 class TestApply:
@@ -137,21 +158,49 @@ def test_every_move_has_an_inverse_on_enumeration(ab_alphabet):
                 assert _find_inverse(p, out, moves, max_letters=n + 1) is not None
 
 
-# n = 3 on links, and on curves with k = 2, together builds over 1.4 million
-# children; n <= 2 keeps this test to a few seconds.
+def _forms(alphabet, k, ns, sample=None):
+    forms = [canonical_form(p) for n in ns for p in enumerate_nanophrases(alphabet, n, k)]
+    if sample is not None:
+        forms = random.Random(f"{k}:{list(ns)}:{sample}").sample(forms, sample)
+    return forms
+
+
+# n = 3 on links, and on curves with k = 2, is over a million children in
+# all; the full enumerations stop at n = 2 there, and seeded samples of
+# n = 3 forms cover it below.
 @pytest.mark.parametrize("name,k,max_n", [
-    ("curves", 1, 3), ("curves", 2, 2), ("links", 1, 2), ("links", 2, 2),
-    ("diagonal", 1, 3), ("diagonal", 2, 3),
+    ("curves", 1, 3), ("curves", 2, 2), ("curves", 3, 2), ("links", 1, 2),
+    ("links", 2, 2), ("diagonal", 1, 3), ("diagonal", 2, 3),
 ])
 def test_neighbor_cache_matches_reference_filter(name, k, max_n):
-    # Reference: build every child up to n+2 letters, then drop those
-    # over the budget.  One cache serves every form and budget, walked
-    # in ascending and descending budget order alternately.
     data = builtin_data(name)
-    alphabet, moves = data.base_alphabet, data.base_moves
+    _check_cache_against_reference(
+        data.base_moves, _forms(data.base_alphabet, k, range(max_n + 1)))
+
+
+@pytest.mark.parametrize("name,k,n,sample", [
+    ("links", 1, 3, 150), ("links", 2, 3, 150), ("curves", 2, 3, 150),
+    ("diagonal", 1, 4, 50),
+])
+def test_neighbor_cache_matches_reference_on_sampled_forms(name, k, n, sample):
+    data = builtin_data(name)
+    _check_cache_against_reference(
+        data.base_moves, _forms(data.base_alphabet, k, [n], sample))
+
+
+def test_neighbor_cache_matches_reference_on_lifted_ornaments():
+    data = builtin_data("ornaments", 2)
+    _check_cache_against_reference(
+        data.lifted_moves, _forms(data.lifted.alphabet, 1, range(3)))
+
+
+def _check_cache_against_reference(moves, forms):
+    # Reference: build every child up to n+2 letters with apply_move and
+    # canonical_form, then drop those over the budget.  One cache serves
+    # every form and budget, walked in ascending and descending budget
+    # order alternately.
+    alphabet = moves.alphabet
     cache = NeighborCache(moves)
-    forms = [canonical_form(p) for n in range(max_n + 1)
-             for p in enumerate_nanophrases(alphabet, n, k)]
     for i, form in enumerate(forms):
         phrase = form.to_phrase(alphabet)
         every = [(s, canonical_form(apply_move(phrase, s)))
@@ -164,6 +213,63 @@ def test_neighbor_cache_matches_reference_filter(name, k, max_n):
             expected = [(s, c) for s, c in every if c.n_letters <= max_letters]
             assert list(cache.within(form, max_letters)) == expected, \
                 (form, max_letters)
+
+
+class TestFormKernel:
+    """The int kernel on hand-checked insertions, against the reference."""
+
+    @staticmethod
+    def _child(moves, spec, proj, kind, gaps, symbols):
+        form = canonical_form(ph(moves.alphabet, spec, proj))
+        phrase = form.to_phrase(moves.alphabet)
+        (site,) = [s for s in find_move_sites(phrase, moves, (kind,), form.n_letters + 2)
+                   if s.gaps == gaps and s.symbols == symbols]
+        ((_site, child),) = _form_children(form, (site,))
+        assert child == canonical_form(apply_move(phrase, site))
+        return child
+
+    def test_m1ins_on_the_empty_form(self, diagonal):
+        child = self._child(diagonal.base_moves, "", {}, "M1ins", ((0, 0),), ("a",))
+        assert child == CanonicalForm(((1, 1),), ("a",))
+
+    def test_m2ins_on_the_empty_form(self, curves):
+        child = self._child(curves.base_moves, "|", {}, "M2ins",
+                            ((0, 0), (1, 0)), ("b", "a"))
+        assert child == CanonicalForm(((1, 2), (2, 1)), ("b", "a"))
+
+    def test_insertion_into_an_empty_middle_component(self, curves):
+        child = self._child(curves.base_moves, "AA||BB", {"A": "a", "B": "b"},
+                            "M1ins", ((1, 0),), ("a",))
+        assert child == CanonicalForm(((1, 1), (2, 2), (3, 3)), ("a", "a", "b"))
+
+    def test_insertion_at_the_start_of_a_later_component(self, curves):
+        child = self._child(curves.base_moves, "AA|BB", {"A": "a", "B": "b"},
+                            "M1ins", ((1, 0),), ("b",))
+        assert child == CanonicalForm(((1, 1), (2, 2, 3, 3)), ("a", "b", "b"))
+
+    def test_insertion_at_the_end_of_the_last_component(self, curves):
+        child = self._child(curves.base_moves, "AB|BA", {"A": "a", "B": "b"},
+                            "M2ins", ((1, 2), (1, 2)), ("a", "b"))
+        assert child == CanonicalForm(((1, 2), (2, 1, 3, 4, 4, 3)),
+                                      ("a", "b", "a", "b"))
+
+    def test_m2ins_with_equal_gaps(self, curves):
+        child = self._child(curves.base_moves, "AA", {"A": "b"},
+                            "M2ins", ((0, 1), (0, 1)), ("a", "b"))
+        assert child == CanonicalForm(((1, 2, 3, 3, 2, 1),), ("b", "a", "b"))
+
+    def test_m2ins_across_components(self, curves):
+        child = self._child(curves.base_moves, "AA|BB", {"A": "a", "B": "b"},
+                            "M2ins", ((0, 0), (1, 1)), ("b", "a"))
+        assert child == CanonicalForm(((1, 2, 3, 3), (4, 2, 1, 4)),
+                                      ("b", "a", "a", "b"))
+
+    def test_later_letters_first_occur_after_the_gap(self, curves):
+        # B and C first occur after the gap, so both shift past the new letter.
+        child = self._child(curves.base_moves, "ABACBC",
+                            {"A": "a", "B": "b", "C": "a"}, "M1ins", ((0, 1),), ("b",))
+        assert child == CanonicalForm(((1, 2, 2, 3, 1, 4, 3, 4),),
+                                      ("a", "b", "b", "a"))
 
 
 class TestEquivalent:
