@@ -82,7 +82,7 @@ def _read(path):
 def _base_system(args, record):
     """The base alphabet and move system from --builtin or the record."""
     builtin = getattr(args, "builtin", None)
-    k = getattr(args, "k", 1) or 1
+    k = args.k
     if builtin:
         if record is not None and record.has_alphabet_sections():
             raise NanowordError("--builtin conflicts with alphabet sections in the input")
@@ -123,8 +123,7 @@ def load_word_context(args, path, force_base=False):
         raise NanowordError(f"{path}: no 'phrase:' line")
     builtin, data = _base_system(args, record)
     base = data.base_alphabet
-    k = getattr(args, "k", 1) or 1
-    lifted_level = (builtin == "ornaments" or k > 1
+    lifted_level = (builtin == "ornaments" or args.k > 1
                     or any(sym not in base for sym in record.proj.values()))
     if force_base and lifted_level:
         raise NanowordError("expected a phrase over the base alphabet")
@@ -139,11 +138,10 @@ def load_word_context(args, path, force_base=False):
 def load_set_context(args):
     record = parse_record(_read(args.file)) if getattr(args, "file", None) else None
     builtin, data = _base_system(args, record)
-    k = getattr(args, "k", 1) or 1
     if builtin == "ornaments":
         lifted, moves = _lifted_pair(builtin, data)
         return SetContext(builtin, lifted.alphabet, 1, moves, lifted)
-    return SetContext(builtin, data.base_alphabet, k, data.base_moves, None)
+    return SetContext(builtin, data.base_alphabet, args.k, data.base_moves, None)
 
 
 def _render_lk(value):
@@ -434,7 +432,7 @@ def cmd_classify(args):
     ctx = load_set_context(args)
     max_letters = args.n + 2 if args.max_letters is None else args.max_letters
     max_states = 50_000 if args.max_states is None else args.max_states
-    if max_letters < args.n or max_states < 1 or args.n < 0:
+    if max_letters < args.n or max_states < 1:
         raise NanowordError("budgets must be positive and cover the enumeration")
     seeds, classes, unknown_pairs, states, truncated = classify(
         ctx, args.n, max_letters, max_states)
@@ -510,9 +508,17 @@ def _build_parser():
     return parser
 
 
+def _check_counts(args):
+    if args.k < 1:
+        raise NanowordError("--k must be at least 1")
+    if getattr(args, "n", 0) < 0:
+        raise NanowordError("--n must not be negative")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except ConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
 
 
 class NanowordError(Exception):
@@ -248,16 +248,41 @@ class Nanophrase:
         return f"Nanophrase({body!r})"
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
     """Letters replaced by 1..n in order of first occurrence.
 
     Two nanophrases over the same alphabet are isomorphic exactly when
-    their canonical forms are equal.
+    their canonical forms are equal.  The ranks live in one packed
+    string: rank r is chr(r), and components are joined by chr(0).  The
+    hash is taken once, at construction; `pattern` decodes the ranks
+    into a tuple of int tuples on each access.  Forms are immutable and
+    equal only other forms.
     """
 
-    pattern: tuple
-    proj_seq: tuple
+    __slots__ = ("packed", "proj_seq", "_hash")
+
+    def __init__(self, pattern, proj_seq):
+        comps = ["".join(map(chr, comp)) for comp in pattern]
+        if any("\0" in comp for comp in comps):
+            raise ValueError("ranks must be positive")
+        packed = "\0".join(comps)
+        proj_seq = tuple(proj_seq)
+        _set_packed(self, packed)
+        _set_proj_seq(self, proj_seq)
+        _set_hash(self, hash((packed, proj_seq)))
+
+    @classmethod
+    def from_packed(cls, packed, proj_seq):
+        """A form from its packed rank string and projection tuple, unchecked."""
+        form = _new_object(cls)
+        _set_packed(form, packed)
+        _set_proj_seq(form, proj_seq)
+        _set_hash(form, hash((packed, proj_seq)))
+        return form
+
+    @property
+    def pattern(self):
+        return tuple(tuple(map(ord, comp)) for comp in self.packed.split("\0"))
 
     @property
     def n_letters(self):
@@ -265,24 +290,49 @@ class CanonicalForm:
 
     @property
     def k(self):
-        return len(self.pattern)
+        return self.packed.count("\0") + 1
 
     def serialize(self):
-        tokens = []
-        for idx, comp in enumerate(self.pattern):
-            if idx:
-                tokens.append("|")
-            tokens.extend(str(r) for r in comp)
-        return f'{" ".join(tokens)} ; {" ".join(self.proj_seq)}'.strip()
+        body = " ".join("|" if ch == "\0" else str(ord(ch)) for ch in self.packed)
+        return f'{body} ; {" ".join(self.proj_seq)}'.strip()
 
     def to_phrase(self, alphabet):
         """Materialize the canonical representative over an alphabet."""
-        components = tuple(tuple(rank_letter(r) for r in comp) for comp in self.pattern)
-        proj = {rank_letter(i + 1): sym for i, sym in enumerate(self.proj_seq)}
-        return Nanophrase(alphabet, components, proj, validate=False)
+        names = rank_letters(len(self.proj_seq))
+        components = tuple(tuple(names[ord(ch) - 1] for ch in comp)
+                           for comp in self.packed.split("\0"))
+        return Nanophrase(alphabet, components, dict(zip(names, self.proj_seq)),
+                          validate=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CanonicalForm is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CanonicalForm is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return CanonicalForm, (self.pattern, self.proj_seq)
+
+    def __eq__(self, other):
+        if other.__class__ is not CanonicalForm:
+            return NotImplemented
+        return self.packed == other.packed and self.proj_seq == other.proj_seq
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"CanonicalForm(pattern={self.pattern!r}, proj_seq={self.proj_seq!r})"
 
     def __str__(self):
         return self.serialize()
+
+
+# The slot setters bypass __setattr__, which refuses every assignment.
+_new_object = object.__new__
+_set_packed = CanonicalForm.packed.__set__
+_set_proj_seq = CanonicalForm.proj_seq.__set__
+_set_hash = CanonicalForm._hash.__set__
 
 
 def rank_letter(rank):
@@ -290,16 +340,18 @@ def rank_letter(rank):
     return chr(64 + rank) if rank <= 26 else f"L{rank}"
 
 
+@lru_cache(maxsize=64)
+def rank_letters(n):
+    """The canonical letter names of ranks 1..n, as a tuple."""
+    return tuple(rank_letter(r) for r in range(1, n + 1))
+
+
 def canonical_form(phrase):
     """Relabel letters by first occurrence; preserves boundaries and projections."""
-    rank = {}
-    for ltr in phrase.flat:
-        if ltr not in rank:
-            rank[ltr] = len(rank) + 1
-    pattern = tuple(tuple(rank[ltr] for ltr in comp) for comp in phrase.components)
-    order = sorted(rank, key=rank.get)
-    proj_seq = tuple(phrase.proj[ltr] for ltr in order)
-    return CanonicalForm(pattern, proj_seq)
+    rank = {ltr: chr(r) for r, ltr in enumerate(phrase.letters, 1)}.__getitem__
+    packed = "\0".join("".join(map(rank, comp)) for comp in phrase.components)
+    proj = phrase.proj
+    return CanonicalForm.from_packed(packed, tuple(proj[ltr] for ltr in phrase.letters))
 
 
 def validate_nanophrase(alphabet, components, proj):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .core import (
     AlphabetMismatch,
@@ -23,6 +24,7 @@ from .core import (
     NanowordError,
     Nanophrase,
     canonical_form,
+    rank_letters,
 )
 
 
@@ -58,6 +60,11 @@ class MoveSite:
 def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     """All admissible sites of the requested kinds, deterministically ordered.
 
+    phrase is a Nanophrase or a CanonicalForm.  A form carries no
+    alphabet and is read over moves.alphabet as form.to_phrase would
+    build it, so its sites name letters by rank_letter and replay on
+    that phrase.
+
     Sites come out grouped by kind in ALL_KINDS order; within a kind they
     ascend by positions, then gaps, then symbols.
 
@@ -65,13 +72,17 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     the new letters; with kinds=None they are included exactly when a
     budget is given.
     """
-    if moves.alphabet != phrase.alphabet:
-        raise AlphabetMismatch("move system and phrase use different alphabets")
+    if isinstance(phrase, CanonicalForm):
+        flat, comp_of, proj, components = _form_layout(phrase)
+    else:
+        if moves.alphabet != phrase.alphabet:
+            raise AlphabetMismatch("move system and phrase use different alphabets")
+        flat, comp_of, proj, components = (phrase.flat, phrase.comp_of, phrase.proj,
+                                           phrase.components)
     if kinds is None:
         kinds = ALL_KINDS if max_letters is not None else MATCH_KINDS
     wanted = set(kinds)
-    flat, comp_of, proj = phrase.flat, phrase.comp_of, phrase.proj
-    n = phrase.n_letters
+    n = len(proj)
     sites = []
     adj = [p for p in range(len(flat) - 1) if comp_of[p] == comp_of[p + 1]]
 
@@ -122,10 +133,21 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
         q = moves.q if "M1ins" in wanted and n + 1 <= max_letters else frozenset()
         r = moves.r if "M2ins" in wanted and n + 2 <= max_letters else frozenset()
         if q or r:
-            lengths = tuple(len(comp) for comp in phrase.components)
+            lengths = tuple(map(len, components))
             small = len(flat) + len(lengths) <= _SHARED_MAX_GAPS
             sites += (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
     return sites
+
+
+def _form_layout(form):
+    # The flat letters, their component indices, the projections and the
+    # components (as packed rank strings) of form.to_phrase(...), without
+    # building it.
+    names = rank_letters(len(form.proj_seq))
+    comps = form.packed.split("\0")
+    flat = tuple(names[ord(ch) - 1] for comp in comps for ch in comp)
+    comp_of = tuple(c for c, comp in enumerate(comps) for _ in comp)
+    return flat, comp_of, dict(zip(names, form.proj_seq)), comps
 
 
 def _insertion_sites(lengths, q, r):
@@ -252,73 +274,77 @@ def _delete(phrase, positions, letters):
 
 
 def _form_children(form, sites):
-    """The child of a canonical form at each site, built on int tuples.
+    """The child of a canonical form at each site, built on its packed key.
 
     Gives the same forms as canonical_form(apply_move(phrase, site)) on
     form.to_phrase(...), without materializing a Nanophrase.  The sites
-    must come from find_move_sites on that phrase, so they are not
-    rechecked.  An insertion at flat index g gives its first new letter
-    the rank max(flat[:g]) + 1 and shifts every rank at or above it by
-    the number of new letters; the shifted components are memoised per
-    (threshold, shift) for this one form.
+    must come from find_move_sites on that form, so they are not
+    rechecked.  An insertion at packed index g gives its first new
+    letter the rank t = max(ranks before g) + 1; every rank at or above
+    t shifts by the number of new letters (one str.translate), and the
+    new letters are sliced in at their gaps.
     """
-    pattern, proj_seq = form.pattern, form.proj_seq
-    starts, comp_of, prefix_max = [], [], [0]
-    for c, comp in enumerate(pattern):
-        starts.append(len(comp_of))
-        for r in comp:
-            comp_of.append(c)
-            prefix_max.append(max(r, prefix_max[-1]))
-    shifted = {}
+    packed, proj_seq = form.packed, form.proj_seq
+    n = len(proj_seq)
+    starts = [0] + [i + 1 for i, ch in enumerate(packed) if ch == "\0"]
+    prefix_max = list(accumulate(map(ord, packed), max, initial=0))
+    make = CanonicalForm.from_packed
     children = []
+    last_gaps = None
     for site in sites:
-        kind = site.kind
-        if kind not in INSERTION_KINDS:
-            children.append((site, _relabel_matched(pattern, proj_seq, comp_of, site)))
+        gaps = site.gaps
+        if not gaps:
+            children.append((site, _relabel_matched(packed, proj_seq, site)))
             continue
-        (c, o) = site.gaps[0]
-        t = prefix_max[starts[c] + o] + 1
-        by = len(site.symbols)
-        comps = shifted.get((t, by))
-        if comps is None:
-            comps = shifted[t, by] = tuple(
-                tuple(r + by if r >= t else r for r in comp) for comp in pattern)
-        if kind == "M1ins":
-            comps = _splice(comps, c, o, (t, t))
-        else:
-            # Like apply_move: the closing pair goes in first, so that a
-            # second gap equal to the first ends up after the opening pair.
-            (c2, o2) = site.gaps[1]
-            comps = _splice(_splice(comps, c2, o2, (t + 1, t)), c, o, (t, t + 1))
-        children.append((site, CanonicalForm(
-            comps, proj_seq[:t - 1] + site.symbols + proj_seq[t - 1:])))
+        if gaps != last_gaps:
+            # Sites of one gap (or gap pair) differ only in their symbols,
+            # and come out next to each other: they share the key.
+            last_gaps = gaps
+            (c, o) = gaps[0]
+            g = starts[c] + o
+            t = prefix_max[g] + 1
+            head, tail = proj_seq[:t - 1], proj_seq[t - 1:]
+            new = chr(t)
+            if len(gaps) == 1:  # M1ins
+                shifted = packed.translate(_shift_table(n, t, 1))
+                key = shifted[:g] + new + new + shifted[g:]
+            else:
+                # M2ins.  Like apply_move, a second gap equal to the first
+                # puts the closing pair after the opening one.
+                (c2, o2) = gaps[1]
+                g2 = starts[c2] + o2
+                shifted = packed.translate(_shift_table(n, t, 2))
+                partner = chr(t + 1)
+                key = (shifted[:g] + new + partner + shifted[g:g2]
+                       + partner + new + shifted[g2:])
+        children.append((site, make(key, head + site.symbols + tail)))
     return tuple(children)
 
 
-def _splice(comps, c, o, pair):
-    comp = comps[c]
-    return comps[:c] + (comp[:o] + pair + comp[o:],) + comps[c + 1:]
+@lru_cache(maxsize=128)
+def _shift_table(n, t, by):
+    # str.translate table on ranks 0..n: ranks at or above t move up by
+    # `by`; the separator and lower ranks stay.
+    return tuple(range(t)) + tuple(range(t + by, n + 1 + by))
 
 
-def _relabel_matched(pattern, proj_seq, comp_of, site):
+def _relabel_matched(packed, proj_seq, site):
     # M1/M2 drop their positions, M3/M3inv swap their three pairs; then
     # one pass renumbers the ranks by first occurrence.
-    flat = [r for comp in pattern for r in comp]
-    lengths = [len(comp) for comp in pattern]
+    chars = list(packed)
+    at = [i for i, ch in enumerate(packed) if ch != "\0"]
     if site.kind in ("M1", "M2"):
         for p in reversed(site.positions):
-            del flat[p]
-            lengths[comp_of[p]] -= 1
+            del chars[at[p]]
     else:
         for p in site.positions[::2]:
-            flat[p], flat[p + 1] = flat[p + 1], flat[p]
-    new = {}
-    seq = [new.setdefault(r, len(new) + 1) for r in flat]
-    child, start = [], 0
-    for size in lengths:
-        child.append(tuple(seq[start:start + size]))
-        start += size
-    return CanonicalForm(tuple(child), tuple(proj_seq[r - 1] for r in new))
+            i = at[p]
+            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    key = "".join(chars)
+    order = dict.fromkeys(key.replace("\0", ""))
+    relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
+    return CanonicalForm.from_packed(key.translate(relabel),
+                                     tuple(proj_seq[ord(ch) - 1] for ch in order))
 
 
 @dataclass(frozen=True)
@@ -367,8 +393,9 @@ class NeighborCache:
     Neighbors are cached per (form, slack), where slack = min(2,
     max_letters - n) is how many letters an insertion may add, so only
     children inside the budget are built and one cache stays correct
-    across searches with different budgets.  Children come from the int
-    kernel _form_children, not from apply_move.
+    across searches with different budgets.  Sites are found on the form
+    itself, and children come from the packed-key kernel _form_children,
+    not from apply_move.
     """
 
     def __init__(self, moves):
@@ -378,9 +405,8 @@ class NeighborCache:
     def raw(self, form, slack):
         got = self._table.get((form, slack))
         if got is None:
-            phrase = form.to_phrase(self.moves.alphabet)
             got = _form_children(form, find_move_sites(
-                phrase, self.moves, ALL_KINDS, phrase.n_letters + slack))
+                form, self.moves, ALL_KINDS, form.n_letters + slack))
             self._table[form, slack] = got
         return got
 

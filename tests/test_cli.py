@@ -219,3 +219,38 @@ class TestClassify:
         _, first, _ = run(capsys, "classify", "--builtin", "curves", "--n", "2")
         _, second, _ = run(capsys, "classify", "--builtin", "curves", "--n", "2")
         assert first == second
+
+
+class TestCountArguments:
+    """--k and --n out of range are input errors on every command."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("validate", ()), ("canon", ()), ("invariants", ("--builtin", "curves")),
+        ("lift", ("--builtin", "curves")), ("project", ("--builtin", "curves")),
+    ])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_k_on_word_commands(self, capsys, tmp_path, command, extra, k):
+        text = "proj: A=a\nphrase: A A\n" if extra else "alpha: a\nproj: A=a\nphrase: A A\n"
+        f = write(tmp_path, "p.txt", text)
+        code, out, err = run(capsys, command, f, *extra, "--k", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--k must be at least 1" in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_k_on_equiv(self, capsys, tmp_path, k):
+        f1 = write(tmp_path, "a.txt", "proj: A=a\nphrase: A A\n")
+        f2 = write(tmp_path, "b.txt", "phrase:\n")
+        code, out, err = run(capsys, "equiv", f1, f2, "--builtin", "diagonal", "--k", k)
+        assert (code, out) == (2, "") and "--k must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["enumerate", "classify"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_k_on_set_commands(self, capsys, command, k):
+        code, out, err = run(capsys, command, "--builtin", "curves", "--n", "1", "--k", k)
+        assert (code, out) == (2, "") and "--k must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["enumerate", "classify"])
+    def test_negative_n(self, capsys, command):
+        code, out, err = run(capsys, command, "--builtin", "curves", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--n must not be negative" in err

@@ -1,20 +1,26 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nanowords import (
+    ALL_KINDS,
     Alphabet,
     AlphabetMismatch,
+    CanonicalForm,
     LetterCountError,
     NanowordError,
     Nanophrase,
     UnknownSymbol,
+    apply_move,
     are_isomorphic,
     canonical_form,
     enumerate_nanophrases,
+    find_move_sites,
     validate_nanophrase,
 )
+from nanowords.moves import _form_children
 from conftest import ph
 
 
@@ -122,6 +128,110 @@ class TestCanonicalForm:
                 cf = canonical_form(p)
                 again = canonical_form(cf.to_phrase(ab_alphabet))
                 assert cf == again
+
+
+# (pattern, proj_seq) pairs covering empty components in every place and
+# ranks past one letter (26) and past one byte (255).
+_LONG = tuple(range(1, 301))
+CONTRACT_FORMS = [
+    (((),), ()),
+    (((), (), ()), ()),
+    (((), (1, 1)), ("a",)),
+    (((1, 2, 1), (), (2, 3, 3)), ("a", "b", "a")),
+    (((1, 1), ()), ("b",)),
+    ((_LONG + _LONG[::-1],), ("a",) * 150 + ("b",) * 150),
+    ((_LONG, (), _LONG), ("b", "a") * 150),
+]
+
+
+class TestCanonicalFormContract:
+    @pytest.mark.parametrize("pattern,proj_seq", CONTRACT_FORMS)
+    def test_pattern_and_proj_seq_round_trip(self, ab_alphabet, pattern, proj_seq):
+        form = CanonicalForm(pattern, list(proj_seq))
+        assert form.pattern == pattern and form.proj_seq == proj_seq
+        assert form.k == len(pattern) and form.n_letters == len(proj_seq)
+        phrase = form.to_phrase(ab_alphabet)
+        assert phrase.k == form.k and phrase.n_letters == form.n_letters
+        again = canonical_form(phrase)
+        assert again == form and hash(again) == hash(form)
+        assert again.pattern == pattern and again.proj_seq == proj_seq
+        tokens = []
+        for index, comp in enumerate(pattern):
+            tokens += ["|"] * bool(index) + [str(r) for r in comp]
+        assert form.serialize() == f'{" ".join(tokens)} ; {" ".join(proj_seq)}'.strip()
+
+    def test_long_word_names_and_serialization(self, ab_alphabet):
+        form = CanonicalForm((_LONG + _LONG[::-1],), ("a",) * 300)
+        phrase = form.to_phrase(ab_alphabet)
+        assert phrase.letters[:27] == tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ") + ("L27",)
+        assert phrase.letters[-1] == "L300"
+        assert form.serialize().startswith("1 2 3 ") and " 256 257 " in form.serialize()
+
+    def test_tuple_canonical_form_and_kernel_forms_agree(self, curves):
+        moves = curves.base_moves
+        parent = canonical_form(ph(curves.base_alphabet, "ABACBC|DEED",
+                                   {"A": "a", "B": "a", "C": "a", "D": "a", "E": "b"}))
+        children = _form_children(parent, find_move_sites(
+            parent, moves, ALL_KINDS, parent.n_letters + 2))
+        assert {site.kind for site, _child in children} == set(ALL_KINDS) - {"M3inv"}
+        phrase = parent.to_phrase(curves.base_alphabet)
+        for site, child in children:
+            reference = canonical_form(apply_move(phrase, site))
+            rebuilt = CanonicalForm(child.pattern, child.proj_seq)
+            assert child == reference == rebuilt
+            assert hash(child) == hash(reference) == hash(rebuilt)
+            assert len({child, reference, rebuilt}) == 1
+
+    def test_kernel_past_one_byte_of_ranks(self, curves):
+        # An insertion at the front of a 300-letter form shifts every rank
+        # past 255.
+        moves = curves.base_moves
+        parent = CanonicalForm((_LONG + _LONG[::-1],), ("a", "b") * 150)
+        sites = find_move_sites(parent, moves, ("M1ins",), 301)[:4]
+        phrase = parent.to_phrase(curves.base_alphabet)
+        matched = find_move_sites(parent, moves)
+        assert matched == find_move_sites(phrase, moves)
+        assert matched[0].letters == ("L300",)
+        for site, child in _form_children(parent, sites):
+            reference = canonical_form(apply_move(phrase, site))
+            assert child == reference and hash(child) == hash(reference)
+            assert max(map(max, child.pattern)) == 301
+
+    def test_immutable(self):
+        form = CanonicalForm(((1, 1),), ("a",))
+        for name in ("packed", "proj_seq", "pattern", "other"):
+            with pytest.raises(AttributeError):
+                setattr(form, name, ())
+        with pytest.raises(AttributeError):
+            del form.packed
+        assert form == CanonicalForm(((1, 1),), ("a",))
+
+    @pytest.mark.parametrize("pattern", [((0,),), ((1, 0, 1),), ((1,), (-1,))])
+    def test_ranks_must_be_positive(self, pattern):
+        # Rank 0 would read as a component boundary in the packed string.
+        with pytest.raises(ValueError):
+            CanonicalForm(pattern, ("a",))
+
+    def test_equal_only_to_forms(self):
+        form = CanonicalForm(((1, 2, 2, 1), ()), ("a", "b"))
+        for other in (form.pattern, form.packed, (form.pattern, form.proj_seq),
+                      (form.packed, form.proj_seq), form.proj_seq):
+            assert form != other and other != form
+            assert not form == other
+        assert form != CanonicalForm(((1, 2, 2, 1), ()), ("b", "a"))
+        assert form != CanonicalForm(((1, 2, 2, 1),), ("a", "b"))
+        assert form != CanonicalForm(((), (1, 2, 2, 1)), ("a", "b"))
+
+    def test_repr_is_readable(self):
+        form = CanonicalForm(((1, 2, 2, 1), ()), ("a", "b"))
+        assert repr(form) == \
+            "CanonicalForm(pattern=((1, 2, 2, 1), ()), proj_seq=('a', 'b'))"
+        assert str(form) == "1 2 2 1 | ; a b"
+
+    def test_pickle_round_trip(self):
+        form = CanonicalForm(((1, 2), (2, 1)), ("a", "b"))
+        again = pickle.loads(pickle.dumps(form))
+        assert again == form and hash(again) == hash(form)
 
 
 def _bijection_oracle(p1, p2):

@@ -215,6 +215,59 @@ def _check_cache_against_reference(moves, forms):
                 (form, max_letters)
 
 
+def _assert_form_sites_match(moves, form, max_letters):
+    # Same sites, in the same order and with the same letter names, as on
+    # the phrase the form stands for.
+    phrase = form.to_phrase(moves.alphabet)
+    assert find_move_sites(form, moves, ALL_KINDS, max_letters) == \
+        find_move_sites(phrase, moves, ALL_KINDS, max_letters), form
+    assert find_move_sites(form, moves) == find_move_sites(phrase, moves), form
+
+
+@pytest.mark.parametrize("name,k", [
+    ("links", 1), ("links", 2), ("curves", 1), ("curves", 2),
+    ("diagonal", 1), ("diagonal", 2),
+])
+def test_form_sites_match_phrase_sites_on_enumerations(name, k):
+    data = builtin_data(name)
+    for form in _forms(data.base_alphabet, k, range(4)):
+        _assert_form_sites_match(data.base_moves, form, form.n_letters + 2)
+
+
+def _grown_forms(moves, k, count, seed):
+    # Seeded words of 10 to 20 letters, grown from the empty phrase by
+    # random insertion moves.
+    rng = random.Random(f"grow:{seed}:{k}")
+    forms = []
+    for _ in range(count):
+        phrase = Nanophrase(moves.alphabet, [()] * k, {})
+        target = rng.randint(10, 20)
+        while phrase.n_letters < target:
+            kind = "M2ins" if target - phrase.n_letters >= 2 and rng.random() < 0.5 \
+                else "M1ins"
+            sites = find_move_sites(phrase, moves, (kind,), target)
+            phrase = apply_move(phrase, rng.choice(sites))
+        forms.append(canonical_form(phrase))
+    return forms
+
+
+@pytest.mark.parametrize("name", ["links", "curves", "diagonal"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_form_sites_match_phrase_sites_on_grown_words(name, k):
+    data = builtin_data(name)
+    moves = data.base_moves
+    forms = _grown_forms(moves, k, 6, name)
+    for form in forms:
+        _assert_form_sites_match(moves, form, form.n_letters + 1)
+    # The kernel on those forms: every matched move and M1ins, in order.
+    cache = NeighborCache(moves)
+    for form in forms:
+        phrase = form.to_phrase(moves.alphabet)
+        expected = [(s, canonical_form(apply_move(phrase, s)))
+                    for s in find_move_sites(phrase, moves, ALL_KINDS, form.n_letters + 1)]
+        assert list(cache.within(form, form.n_letters + 1)) == expected, form
+
+
 class TestFormKernel:
     """The int kernel on hand-checked insertions, against the reference."""
 
