@@ -156,23 +156,26 @@ def _render_t(blocks):
     return "; ".join(f"{j}: {block.render()}" for j, block in enumerate(blocks, start=1))
 
 
-def _invariant_lines(ctx):
-    """(name, rendered value) for every invariant the system guarantees."""
-    phrase = ctx.phrase
-    if ctx.is_lifted:
-        names = inv.lifted_invariants_applicable(ctx.moves, ctx.lifted)
+def _invariant_lines(phrase, moves, lifted):
+    """(name, rendered value) for every invariant the system guarantees.
+
+    `lifted` selects the word level over that lifted alphabet; None
+    selects the phrase level.
+    """
+    if lifted is not None:
+        names = inv.lifted_invariants_applicable(moves, lifted)
         table = {
-            "lk": lambda: _render_lk(inv.lk_lifted(phrase, ctx.lifted)),
-            "clv": lambda: _render_clv(inv.clv_lifted(phrase, ctx.lifted)),
-            "So": lambda: inv.so_lifted(phrase, ctx.lifted).render(),
+            "lk": lambda: _render_lk(inv.lk_lifted(phrase, lifted)),
+            "clv": lambda: _render_clv(inv.clv_lifted(phrase, lifted)),
+            "So": lambda: inv.so_lifted(phrase, lifted).render(),
         }
     else:
-        names = inv.phrase_invariants_applicable(ctx.moves)
+        names = inv.phrase_invariants_applicable(moves)
         table = {
-            "lk": lambda: _render_lk(inv.lk_phrase(phrase, ctx.moves)),
-            "clv": lambda: _render_clv(inv.clv_phrase(phrase, ctx.moves)),
-            "So": lambda: inv.so_phrase(phrase, ctx.moves).render(),
-            "T": lambda: _render_t(inv.t_invariant(phrase, ctx.moves)),
+            "lk": lambda: _render_lk(inv.lk_phrase(phrase, moves)),
+            "clv": lambda: _render_clv(inv.clv_phrase(phrase, moves)),
+            "So": lambda: inv.so_phrase(phrase, moves).render(),
+            "T": lambda: _render_t(inv.t_invariant(phrase, moves)),
         }
     return [(name, table[name]()) for name in names]
 
@@ -208,7 +211,7 @@ def cmd_invariants(args):
         rows.append(("conditions", "satisfied" if violation is None else
                      f"violated pair ({violation.letter_a},{violation.letter_b}) "
                      f"condition ({violation.condition})"))
-    lines = _invariant_lines(ctx)
+    lines = _invariant_lines(ctx.phrase, ctx.moves, ctx.lifted)
     if not lines:
         raise NanowordError("no invariant is guaranteed under this move system "
                             "(R must be the graph of tau)")
@@ -233,8 +236,8 @@ def cmd_equiv(args):
     if max_states < 1:
         raise NanowordError("--max-states must be positive")
     verdict = equivalent(p1, p2, ctx1.moves, max_letters, max_states)
-    keys1 = _invariant_lines(ctx1)
-    keys2 = _invariant_lines(ctx2)
+    keys1 = _invariant_lines(p1, ctx1.moves, ctx1.lifted)
+    keys2 = _invariant_lines(p2, ctx2.moves, ctx2.lifted)
     separator = next((n1 for (n1, v1), (_n2, v2) in zip(keys1, keys2) if v1 != v2), None)
 
     rows = [("inputs", f"{canonical_form(p1)}  vs  {canonical_form(p2)}"),
@@ -314,6 +317,13 @@ def cmd_enumerate(args):
 
 
 class _UnionFind:
+    """Union-find over forms.
+
+    Every stored parent is the key object it stands for, and a root maps
+    to itself as that same object, so the walks test identity and never
+    call CanonicalForm.__eq__.
+    """
+
     def __init__(self):
         self.parent = {}
 
@@ -322,15 +332,15 @@ class _UnionFind:
 
     def find(self, item):
         root = item
-        while self.parent[root] != root:
+        while self.parent[root] is not root:
             root = self.parent[root]
-        while self.parent[item] != root:
+        while self.parent[item] is not root:
             self.parent[item], item = root, self.parent[item]
         return root
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+        if ra is not rb:
             # Deterministic root: keep the lexicographically smaller form.
             if rb.serialize() < ra.serialize():
                 ra, rb = rb, ra
@@ -338,23 +348,8 @@ class _UnionFind:
 
 
 def _set_invariant_key(ctx, form):
-    phrase = form.to_phrase(ctx.alphabet)
-    if ctx.lifted is not None:
-        names = inv.lifted_invariants_applicable(ctx.moves, ctx.lifted)
-        values = {
-            "lk": lambda: _render_lk(inv.lk_lifted(phrase, ctx.lifted)),
-            "clv": lambda: _render_clv(inv.clv_lifted(phrase, ctx.lifted)),
-            "So": lambda: inv.so_lifted(phrase, ctx.lifted).render(),
-        }
-    else:
-        names = inv.phrase_invariants_applicable(ctx.moves)
-        values = {
-            "lk": lambda: _render_lk(inv.lk_phrase(phrase, ctx.moves)),
-            "clv": lambda: _render_clv(inv.clv_phrase(phrase, ctx.moves)),
-            "So": lambda: inv.so_phrase(phrase, ctx.moves).render(),
-            "T": lambda: _render_t(inv.t_invariant(phrase, ctx.moves)),
-        }
-    return " ".join(f"{name}={values[name]()}" for name in names)
+    lines = _invariant_lines(form.to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)
+    return " ".join(f"{name}={value}" for name, value in lines)
 
 
 def classify(ctx, n_letters, max_letters, max_states):

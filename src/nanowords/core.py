@@ -187,10 +187,13 @@ class Nanophrase:
     """k component words whose concatenation uses every letter twice.
 
     Values are immutable after construction; all operations on them are
-    pure functions returning new phrases.
+    pure functions returning new phrases.  `_profiles` memoises the
+    interleaving profile table of `invariants`; it is filled on first
+    use, and filling it twice gives the same table.
     """
 
-    __slots__ = ("alphabet", "components", "proj", "letters", "flat", "comp_of", "_occ")
+    __slots__ = ("alphabet", "components", "proj", "letters", "flat", "comp_of", "_occ",
+                 "_profiles")
 
     def __init__(self, alphabet, components, proj, validate=True):
         components = tuple(tuple(comp) for comp in components)
@@ -221,6 +224,24 @@ class Nanophrase:
         self.letters = tuple(letters)
         self._occ = occ
         self.proj = {ltr: proj[ltr] for ltr in letters}
+        self._profiles = None
+
+    def _with_proj(self, proj):
+        """A phrase sharing this one's word structure, with its own projection.
+
+        `proj` must map exactly `self.letters`, in that order; nothing is
+        checked.
+        """
+        phrase = object.__new__(Nanophrase)
+        phrase.alphabet = self.alphabet
+        phrase.components = self.components
+        phrase.flat = self.flat
+        phrase.comp_of = self.comp_of
+        phrase.letters = self.letters
+        phrase._occ = self._occ
+        phrase.proj = proj
+        phrase._profiles = None
+        return phrase
 
     @property
     def k(self):
@@ -405,7 +426,8 @@ def enumerate_nanophrases(alphabet, n_letters, k):
 
     Streams every double-occurrence pattern on n_letters letters,
     distributed over k ordered components, crossed with every projection
-    assignment, in a fixed deterministic order.
+    assignment, in a fixed deterministic order.  The phrases of one
+    pattern and distribution share their immutable word structure.
     """
     if n_letters < 0:
         raise ValueError("n_letters must be >= 0")
@@ -419,6 +441,6 @@ def enumerate_nanophrases(alphabet, n_letters, k):
             for size in sizes:
                 comps.append(flat[start:start + size])
                 start += size
+            shape = Nanophrase(alphabet, comps, dict.fromkeys(names), validate=False)
             for assignment in itertools.product(alphabet.symbols, repeat=n_letters):
-                proj = dict(zip(names, assignment))
-                yield Nanophrase(alphabet, comps, proj, validate=False)
+                yield shape._with_proj(dict(zip(names, assignment)))

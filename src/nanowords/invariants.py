@@ -13,7 +13,10 @@ At the phrase level (pair deletions gated by the graph of tau):
 At the word level over a lifted alphabet the analogues read the
 component pair off each letter's subscripts instead of its positions;
 they agree with the phrase versions on flattened phrases and remain
-defined on words that no phrase produces.
+defined on words that no phrase produces.  Both levels read each letter
+as (symbol, i, j) and share one kernel: the profile table comes from a
+single pass over the interleaved letter pairs, and a phrase keeps its
+table, so So and T on one phrase cost one pass.
 """
 
 from __future__ import annotations
@@ -204,25 +207,82 @@ def sigma_table(phrase, moves):
     return table
 
 
+def _phrase_parts(phrase):
+    """(symbol, i, j) for each of `phrase.letters`, in that order.
+
+    i <= j are the 1-based components of the letter's two occurrences.
+    This is the (base symbol, i, j) that phi writes into a letter's
+    projection, so the phrase and lifted invariants below read one shape.
+    """
+    comp_of, proj, occurrences = phrase.comp_of, phrase.proj, phrase.occurrences
+    parts = []
+    for ltr in phrase.letters:
+        p1, p2 = occurrences(ltr)
+        parts.append((proj[ltr], comp_of[p1] + 1, comp_of[p2] + 1))
+    return parts
+
+
+def _lifted_parts(word, lifted):
+    from .lift import _require_lifted_word
+
+    _require_lifted_word(word, lifted)
+    proj = word.proj
+    return [lifted.part(proj[ltr]) for ltr in word.letters]
+
+
+def _profile_table(word, alphabet, k, parts):
+    """letter -> SigmaVector, from one pass over the interleaved letter pairs.
+
+    A pair a < b in first-occurrence order interleaves when
+    a1 < b1 < a2 < b2.  It adds epsilon(|b|) at b's second slot to a's
+    profile and -epsilon(|a|) at a's first slot to b's: the entries that
+    `sigma_table` lists for (a, b) and (b, a).  Since first occurrences
+    increase along `word.letters`, the scan for partners of a stops at
+    the first b with b1 > a2.
+    """
+    letters = word.letters
+    n = len(letters)
+    spans = list(map(word.occurrences, letters))
+    orbit = [alphabet.orbit_index(s) for s, _i, _j in parts]
+    eps = [alphabet.epsilon(s) for s, _i, _j in parts]
+    second_slot = [j for _s, _i, j in parts]
+    raws = [{} for _ in range(n)]
+    for a in range(n):
+        a2 = spans[a][1]
+        raw_a, pa, ea, slot_a = raws[a], orbit[a], eps[a], parts[a][1]
+        for b in range(a + 1, n):
+            b1, b2 = spans[b]
+            if b1 > a2:
+                break
+            if b2 > a2:
+                pb = orbit[b]
+                key = (second_slot[b], pa, pb)
+                raw_a[key] = raw_a.get(key, 0) + eps[b]
+                raw_b = raws[b]
+                key = (slot_a, pb, pa)
+                raw_b[key] = raw_b.get(key, 0) - ea
+    n_free = alphabet.n_free
+    zero = SigmaVector(n_free, k, ())
+    return {ltr: SigmaVector.build(n_free, k, raw) if raw else zero
+            for ltr, raw in zip(letters, raws)}
+
+
 def _profile_vectors(phrase):
-    """letter -> SigmaVector summing its signed interleavings with all others."""
-    alphabet = phrase.alphabet
-    out = {}
-    for x in phrase.letters:
-        px = alphabet.orbit_index(phrase.proj[x])
-        raw = defaultdict(int)
-        for y in phrase.letters:
-            if x == y:
-                continue
-            hit = _interleaving(phrase.occurrences(x), phrase.occurrences(y))
-            if hit is None:
-                continue
-            x_first, y_pos = hit
-            sign = alphabet.epsilon(phrase.proj[y]) * (1 if x_first else -1)
-            q = alphabet.orbit_index(phrase.proj[y])
-            raw[(phrase.comp_of[y_pos] + 1, px, q)] += sign
-        out[x] = SigmaVector.build(alphabet.n_free, phrase.k, raw)
-    return out
+    """letter -> SigmaVector summing its signed interleavings with all others.
+
+    Filled on first use and kept in the phrase's `_profiles` slot, so
+    so_phrase and t_invariant share one pass.
+    """
+    profiles = phrase._profiles
+    if profiles is None:
+        profiles = _profile_table(phrase, phrase.alphabet, phrase.k, _phrase_parts(phrase))
+        phrase._profiles = profiles
+    return profiles
+
+
+def _profile_vectors_lifted(word, lifted):
+    """The same table with component slots read off the subscripts."""
+    return _profile_table(word, lifted.base, lifted.k, _lifted_parts(word, lifted))
 
 
 def _bucketed_census(alphabet, members, profiles):
@@ -242,17 +302,25 @@ def _bucketed_census(alphabet, members, profiles):
     return tuple(entries)
 
 
+def _diagonal_members(k, letters, parts):
+    """Per component c, the (letter, symbol) pairs whose slots are both c."""
+    members = [[] for _ in range(k)]
+    for ltr, (s, i, j) in zip(letters, parts):
+        if i == j:
+            members[i - 1].append((ltr, s))
+    return members
+
+
+def _census(alphabet, k, letters, parts, profiles):
+    return SoValue(tuple(_bucketed_census(alphabet, comp_members, profiles)
+                         for comp_members in _diagonal_members(k, letters, parts)))
+
+
 def so_phrase(phrase, moves):
     """The per-component signed census of single-component letters."""
     _require_graph_tau(moves, phrase)
-    profiles = _profile_vectors(phrase)
-    alphabet = phrase.alphabet
-    maps = []
-    for comp in range(1, phrase.k + 1):
-        members = [(ltr, phrase.proj[ltr]) for ltr in phrase.letters
-                   if phrase.component_pair(ltr) == (comp, comp)]
-        maps.append(_bucketed_census(alphabet, members, profiles))
-    return SoValue(tuple(maps))
+    return _census(phrase.alphabet, phrase.k, phrase.letters, _phrase_parts(phrase),
+                   _profile_vectors(phrase))
 
 
 def t_invariant(phrase, moves):
@@ -266,12 +334,10 @@ def t_invariant(phrase, moves):
     profiles = _profile_vectors(phrase)
     alphabet = phrase.alphabet
     blocks = []
-    for comp in range(1, phrase.k + 1):
+    for comp_members in _diagonal_members(phrase.k, phrase.letters, _phrase_parts(phrase)):
         raw = defaultdict(int)
-        for ltr in phrase.letters:
-            if phrase.component_pair(ltr) != (comp, comp):
-                continue
-            eps = alphabet.epsilon(phrase.proj[ltr])
+        for ltr, symbol in comp_members:
+            eps = alphabet.epsilon(symbol)
             for (_j, p, q), coeff in profiles[ltr].entries:
                 raw[(1, p, q)] += eps * coeff
         blocks.append(SigmaVector.build(alphabet.n_free, 1, raw))
@@ -295,98 +361,52 @@ def t_from_so(so_value, n_free):
     return tuple(blocks)
 
 
+def _lk(alphabet, k, parts):
+    """Per slot pair i<j, the product of the symbols of letters with slots (i, j)."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    exps = {pair: [0] * (alphabet.n_free + alphabet.n_fixed) for pair in pairs}
+    for s, i, j in parts:
+        if i != j:
+            exps[(i, j)][alphabet.orbit_index(s) - 1] += alphabet.epsilon(s)
+    return tuple(PiElement._make(alphabet, exps[pair]) for pair in pairs)
+
+
+def _clv(k, parts):
+    """Per slot, the parity of letters with two different slots touching it."""
+    counts = [0] * k
+    for _s, i, j in parts:
+        if i != j:
+            counts[i - 1] += 1
+            counts[j - 1] += 1
+    return tuple(c % 2 for c in counts)
+
+
 def lk_phrase(phrase, moves):
     """Products over cross-component letters, one per component pair i<j."""
     _require_graph_tau(moves, phrase)
-    alphabet = phrase.alphabet
-    pairs = [(i, j) for i in range(1, phrase.k + 1) for j in range(i + 1, phrase.k + 1)]
-    acc = {pair: PiElement.identity(alphabet) for pair in pairs}
-    for ltr in phrase.letters:
-        pair = phrase.component_pair(ltr)
-        if pair[0] != pair[1]:
-            acc[pair] = acc[pair] * PiElement.from_symbol(alphabet, phrase.proj[ltr])
-    return tuple(acc[pair] for pair in pairs)
+    return _lk(phrase.alphabet, phrase.k, _phrase_parts(phrase))
 
 
 def clv_phrase(phrase, moves):
     """Per component, the parity of letters with one occurrence elsewhere."""
     _require_graph_tau(moves, phrase)
-    counts = [0] * phrase.k
-    for ltr in phrase.letters:
-        c1, c2 = phrase.component_pair(ltr)
-        if c1 != c2:
-            counts[c1 - 1] += 1
-            counts[c2 - 1] += 1
-    return tuple(c % 2 for c in counts)
-
-
-def _lifted_parts(word, lifted):
-    from .lift import _require_lifted_word
-
-    _require_lifted_word(word, lifted)
-    return {ltr: lifted.part(word.proj[ltr]) for ltr in word.letters}
-
-
-def _profile_vectors_lifted(word, lifted):
-    base = lifted.base
-    parts = _lifted_parts(word, lifted)
-    out = {}
-    for x in word.letters:
-        px = base.orbit_index(parts[x][0])
-        raw = defaultdict(int)
-        for y in word.letters:
-            if x == y:
-                continue
-            hit = _interleaving(word.occurrences(x), word.occurrences(y))
-            if hit is None:
-                continue
-            x_first, _y_pos = hit
-            sy, iy, jy = parts[y]
-            # The component slot comes from the subscripts: the second one
-            # when x comes first, the first one otherwise.
-            slot = jy if x_first else iy
-            sign = base.epsilon(sy) * (1 if x_first else -1)
-            raw[(slot, px, base.orbit_index(sy))] += sign
-        out[x] = SigmaVector.build(base.n_free, lifted.k, raw)
-    return out
+    return _clv(phrase.k, _phrase_parts(phrase))
 
 
 def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
-    parts = _lifted_parts(word, lifted)
-    profiles = _profile_vectors_lifted(word, lifted)
-    base = lifted.base
-    maps = []
-    for comp in range(1, lifted.k + 1):
-        members = [(ltr, parts[ltr][0]) for ltr in word.letters
-                   if parts[ltr][1] == comp and parts[ltr][2] == comp]
-        maps.append(_bucketed_census(base, members, profiles))
-    return SoValue(tuple(maps))
+    return _census(lifted.base, lifted.k, word.letters, _lifted_parts(word, lifted),
+                   _profile_vectors_lifted(word, lifted))
 
 
 def lk_lifted(word, lifted):
     """Subscript-pair products in the base abelianization, pairs i<j."""
-    parts = _lifted_parts(word, lifted)
-    base = lifted.base
-    pairs = [(i, j) for i in range(1, lifted.k + 1) for j in range(i + 1, lifted.k + 1)]
-    acc = {pair: PiElement.identity(base) for pair in pairs}
-    for ltr in word.letters:
-        s, i, j = parts[ltr]
-        if i != j:
-            acc[(i, j)] = acc[(i, j)] * PiElement.from_symbol(base, s)
-    return tuple(acc[pair] for pair in pairs)
+    return _lk(lifted.base, lifted.k, _lifted_parts(word, lifted))
 
 
 def clv_lifted(word, lifted):
     """Per component, the parity of off-diagonal letters touching it."""
-    parts = _lifted_parts(word, lifted)
-    counts = [0] * lifted.k
-    for ltr in word.letters:
-        _s, i, j = parts[ltr]
-        if i != j:
-            counts[i - 1] += 1
-            counts[j - 1] += 1
-    return tuple(c % 2 for c in counts)
+    return _clv(lifted.k, _lifted_parts(word, lifted))
 
 
 def phrase_invariants_applicable(moves):

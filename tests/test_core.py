@@ -15,9 +15,12 @@ from nanowords import (
     UnknownSymbol,
     apply_move,
     are_isomorphic,
+    builtin_data,
     canonical_form,
     enumerate_nanophrases,
     find_move_sites,
+    so_phrase,
+    t_invariant,
     validate_nanophrase,
 )
 from nanowords.moves import _form_children
@@ -317,3 +320,38 @@ class TestEnumeration:
                              {"X": "a", "Y": "a", "Z": "a"})
         matches = [cf for cf in forms if cf == canonical_form(renamed)]
         assert len(matches) == 1
+
+
+def _fresh_copy(phrase):
+    return Nanophrase(phrase.alphabet, phrase.components, dict(phrase.proj))
+
+
+def _public_fields(phrase):
+    return (phrase.alphabet, phrase.components, phrase.proj, list(phrase.proj),
+            phrase.letters, phrase.flat, phrase.comp_of, phrase.k, phrase.n_letters,
+            [phrase.occurrences(ltr) for ltr in phrase.letters],
+            [phrase.component_pair(ltr) for ltr in phrase.letters])
+
+
+@pytest.mark.parametrize("name,n,k", [("curves", 3, 2), ("links", 2, 3),
+                                      ("diagonal", 3, 3), ("curves", 0, 2)])
+def test_enumerated_phrases_match_fresh_phrases(name, n, k):
+    # Enumerated phrases of one pattern and distribution share their word
+    # structure; each must still read as a freshly validated phrase, and
+    # the So/T memo must not carry over from a sibling projection.
+    data = builtin_data(name)
+    moves = data.base_moves
+    stream = []
+    for phrase in enumerate_nanophrases(data.base_alphabet, n, k):
+        fresh = _fresh_copy(phrase)
+        assert _public_fields(phrase) == _public_fields(fresh)
+        assert so_phrase(phrase, moves) == so_phrase(fresh, moves)
+        assert t_invariant(phrase, moves) == t_invariant(fresh, moves)
+        stream.append(phrase)
+    pool = list(enumerate_nanophrases(data.base_alphabet, n, k))
+    for phrase in reversed(pool):
+        fresh = _fresh_copy(phrase)
+        assert t_invariant(phrase, moves) == t_invariant(fresh, moves)
+        assert so_phrase(phrase, moves) == so_phrase(fresh, moves)
+    assert len({id(p.proj) for p in pool}) == len(pool)
+    assert [_public_fields(p) for p in pool] == [_public_fields(p) for p in stream]

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +12,10 @@ from nanowords import (
     Nanophrase,
     NonGraphR,
     PiElement,
+    SigmaVector,
     apply_move,
     builtin_data,
+    check_conditions,
     clv_lifted,
     clv_phrase,
     enumerate_nanophrases,
@@ -27,6 +31,7 @@ from nanowords import (
     t_from_so,
     t_invariant,
 )
+from nanowords.invariants import _interleaving, _profile_vectors, _profile_vectors_lifted
 from conftest import ph
 
 
@@ -278,3 +283,110 @@ def test_recovery_from_census_small(curves, diagonal):
                 assert t_from_so(so_phrase(p, moves), alpha.n_free) == \
                     t_invariant(p, moves)
         assert checked > 0
+
+
+# Pair-by-pair and product-loop references for the shared profile kernel.
+
+def _sigma_sum_profiles(phrase, moves):
+    """Per-letter sums of sigma_table: the reference for phrase profiles."""
+    raws = {ltr: {} for ltr in phrase.letters}
+    for (x, _y, j), (p, q, coeff) in sigma_table(phrase, moves).items():
+        raws[x][(j, p, q)] = raws[x].get((j, p, q), 0) + coeff
+    return {ltr: SigmaVector.build(phrase.alphabet.n_free, phrase.k, raw)
+            for ltr, raw in raws.items()}
+
+
+def _reference_lifted_profiles(word, lifted):
+    """The double loop over ordered letter pairs, slots from subscripts."""
+    base = lifted.base
+    parts = {ltr: lifted.part(word.proj[ltr]) for ltr in word.letters}
+    out = {}
+    for x in word.letters:
+        px = base.orbit_index(parts[x][0])
+        raw = defaultdict(int)
+        for y in word.letters:
+            if x == y:
+                continue
+            hit = _interleaving(word.occurrences(x), word.occurrences(y))
+            if hit is None:
+                continue
+            x_first, _y_pos = hit
+            sy, iy, jy = parts[y]
+            slot = jy if x_first else iy
+            sign = base.epsilon(sy) * (1 if x_first else -1)
+            raw[(slot, px, base.orbit_index(sy))] += sign
+        out[x] = SigmaVector.build(base.n_free, lifted.k, raw)
+    return out
+
+
+def _reference_lk_clv(alphabet, k, slots):
+    """Products of PiElements and parity counts, one letter at a time."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    acc = {pair: PiElement.identity(alphabet) for pair in pairs}
+    counts = [0] * k
+    for s, i, j in slots:
+        if i != j:
+            acc[(i, j)] = acc[(i, j)] * PiElement.from_symbol(alphabet, s)
+            counts[i - 1] += 1
+            counts[j - 1] += 1
+    return tuple(acc[pair] for pair in pairs), tuple(c % 2 for c in counts)
+
+
+def _check_phrase(phrase, moves):
+    profiles = _profile_vectors(phrase)
+    assert profiles == _sigma_sum_profiles(phrase, moves)
+    assert _profile_vectors(phrase) is profiles
+    slots = [(phrase.proj[ltr],) + phrase.component_pair(ltr) for ltr in phrase.letters]
+    assert (lk_phrase(phrase, moves), clv_phrase(phrase, moves)) == \
+        _reference_lk_clv(phrase.alphabet, phrase.k, slots)
+
+
+def _check_lifted(word, lifted):
+    profiles = _profile_vectors_lifted(word, lifted)
+    assert profiles == _reference_lifted_profiles(word, lifted)
+    slots = [lifted.part(word.proj[ltr]) for ltr in word.letters]
+    assert (lk_lifted(word, lifted), clv_lifted(word, lifted)) == \
+        _reference_lk_clv(lifted.base, lifted.k, slots)
+
+
+def _random_phrase(rng, alphabet, n, k):
+    letters = [f"L{i}" for i in range(n)]
+    flat = letters * 2
+    rng.shuffle(flat)
+    cuts = sorted(rng.randrange(2 * n + 1) for _ in range(k - 1))
+    bounds = [0] + cuts + [2 * n]
+    comps = [flat[bounds[c]:bounds[c + 1]] for c in range(k)]
+    return Nanophrase(alphabet, comps, {ltr: rng.choice(alphabet.symbols) for ltr in letters})
+
+
+@pytest.mark.parametrize("name", ["curves", "links", "diagonal"])
+def test_profile_kernel_matches_references_on_enumerations(name):
+    # links at n = 3, k = 3 has 26,880 phrases: check a seeded eighth of them.
+    rng = random.Random(f"profile-kernel-enum:{name}")
+    for k in (1, 2, 3):
+        data = builtin_data(name, k)
+        for n in range(4):
+            share = 0.125 if (name, n, k) == ("links", 3, 3) else 1.0
+            for p in enumerate_nanophrases(data.base_alphabet, n, k):
+                if rng.random() >= share:
+                    continue
+                _check_phrase(p, data.base_moves)
+                _check_lifted(phi(p, data.lifted), data.lifted)
+
+
+@pytest.mark.parametrize("name", ["curves", "links", "diagonal"])
+def test_profile_kernel_matches_references_on_random_words(name):
+    rng = random.Random(f"profile-kernel:{name}")
+    violated = 0
+    for k in (1, 2, 3):
+        data = builtin_data(name, k)
+        lifted = data.lifted
+        for _ in range(40):
+            p = _random_phrase(rng, data.base_alphabet, rng.randint(10, 20), k)
+            _check_phrase(p, data.base_moves)
+            _check_lifted(phi(p, lifted), lifted)
+            # Any word over the lifted alphabet, order conditions or not.
+            w = _random_phrase(rng, lifted.alphabet, rng.randint(10, 20), 1)
+            _check_lifted(w, lifted)
+            violated += check_conditions(w, lifted) is not None
+    assert violated > 0
