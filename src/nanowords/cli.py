@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from dataclasses import dataclass
 
-from . import invariants as inv
+from .classification import SetContext, classify
 from .core import (
     Alphabet,
     AlphabetMismatch,
@@ -29,6 +28,7 @@ from .core import (
     canonical_form,
     enumerate_nanophrases,
 )
+from .invariants import invariant_lines
 from .lift import (
     BUILTIN_NAMES,
     LiftedAlphabet,
@@ -39,7 +39,7 @@ from .lift import (
     phi,
     psi,
 )
-from .moves import NeighborCache, equivalent, replay_path
+from .moves import equivalent, replay_path
 from .textio import ParseError, parse_record, render_alphabet_lines, render_record
 
 EXIT_OK = 0
@@ -52,7 +52,6 @@ EXIT_UNKNOWN = 4
 class WordContext:
     builtin: str
     base: Alphabet
-    base_moves: MoveSystem
     lifted: LiftedAlphabet
     moves: MoveSystem
     phrase: Nanophrase
@@ -60,15 +59,6 @@ class WordContext:
     @property
     def is_lifted(self):
         return self.lifted is not None
-
-
-@dataclass
-class SetContext:
-    builtin: str
-    alphabet: Alphabet
-    k: int
-    moves: MoveSystem
-    lifted: LiftedAlphabet
 
 
 def _read(path):
@@ -79,15 +69,18 @@ def _read(path):
         raise NanowordError(f"cannot read {path}: {exc}") from None
 
 
-def _base_system(args, record):
-    """The base alphabet and move system from --builtin or the record."""
+def _system(args, record):
+    """(builtin name, base alphabet, base moves, lift) from --builtin or the record.
+
+    lift() returns the order --k lifted alphabet and its move system.
+    """
     builtin = getattr(args, "builtin", None)
-    k = args.k
     if builtin:
         if record is not None and record.has_alphabet_sections():
             raise NanowordError("--builtin conflicts with alphabet sections in the input")
-        data = builtin_data(builtin, k)
-        return builtin, data
+        data = builtin_data(builtin, args.k)
+        return builtin, data.base_alphabet, data.base_moves, lambda: (data.lifted,
+                                                                      data.lifted_moves)
     if record is None or record.alpha is None:
         raise NanowordError("input needs an 'alpha:' line or --builtin")
     base = Alphabet(record.alpha, record.tau)
@@ -95,89 +88,39 @@ def _base_system(args, record):
     r = record.r if record.r is not None else [(x, base.tau(x)) for x in base.symbols]
     s = record.s if record.s is not None else diagonal_triples(base)
     base_moves = MoveSystem(base, q, r, s)
-    return None, _ExplicitData(base, base_moves, record, k)
 
-
-@dataclass
-class _ExplicitData:
-    base_alphabet: Alphabet
-    base_moves: MoveSystem
-    record: object
-    k: int
-
-    def lifted_pair(self):
-        if self.record.q is not None or self.record.r is not None:
+    def lift():
+        if record.q is not None or record.r is not None:
             raise NanowordError("custom Q/R lines are not supported at the lifted level")
-        return lift_alphabet(self.base_alphabet, self.base_moves.s, self.k)
+        return lift_alphabet(base, base_moves.s, args.k)
 
-
-def _lifted_pair(builtin, data):
-    if builtin:
-        return data.lifted, data.lifted_moves
-    return data.lifted_pair()
+    return None, base, base_moves, lift
 
 
 def load_word_context(args, path, force_base=False):
     record = parse_record(_read(path))
     if record.components is None:
         raise NanowordError(f"{path}: no 'phrase:' line")
-    builtin, data = _base_system(args, record)
-    base = data.base_alphabet
+    builtin, base, base_moves, lift = _system(args, record)
     lifted_level = (builtin == "ornaments" or args.k > 1
                     or any(sym not in base for sym in record.proj.values()))
     if force_base and lifted_level:
         raise NanowordError("expected a phrase over the base alphabet")
     if lifted_level:
-        lifted, moves = _lifted_pair(builtin, data)
+        lifted, moves = lift()
         phrase = Nanophrase(lifted.alphabet, record.components, record.proj)
-        return WordContext(builtin, base, data.base_moves, lifted, moves, phrase)
+        return WordContext(builtin, base, lifted, moves, phrase)
     phrase = Nanophrase(base, record.components, record.proj)
-    return WordContext(builtin, base, data.base_moves, None, data.base_moves, phrase)
+    return WordContext(builtin, base, None, base_moves, phrase)
 
 
 def load_set_context(args):
     record = parse_record(_read(args.file)) if getattr(args, "file", None) else None
-    builtin, data = _base_system(args, record)
+    builtin, base, base_moves, lift = _system(args, record)
     if builtin == "ornaments":
-        lifted, moves = _lifted_pair(builtin, data)
+        lifted, moves = lift()
         return SetContext(builtin, lifted.alphabet, 1, moves, lifted)
-    return SetContext(builtin, data.base_alphabet, args.k, data.base_moves, None)
-
-
-def _render_lk(value):
-    return "(" + ",".join(e.render() for e in value) + ")"
-
-
-def _render_clv(value):
-    return "(" + ",".join(str(b) for b in value) + ")"
-
-
-def _render_t(blocks):
-    return "; ".join(f"{j}: {block.render()}" for j, block in enumerate(blocks, start=1))
-
-
-def _invariant_lines(phrase, moves, lifted):
-    """(name, rendered value) for every invariant the system guarantees.
-
-    `lifted` selects the word level over that lifted alphabet; None
-    selects the phrase level.
-    """
-    if lifted is not None:
-        names = inv.lifted_invariants_applicable(moves, lifted)
-        table = {
-            "lk": lambda: _render_lk(inv.lk_lifted(phrase, lifted)),
-            "clv": lambda: _render_clv(inv.clv_lifted(phrase, lifted)),
-            "So": lambda: inv.so_lifted(phrase, lifted).render(),
-        }
-    else:
-        names = inv.phrase_invariants_applicable(moves)
-        table = {
-            "lk": lambda: _render_lk(inv.lk_phrase(phrase, moves)),
-            "clv": lambda: _render_clv(inv.clv_phrase(phrase, moves)),
-            "So": lambda: inv.so_phrase(phrase, moves).render(),
-            "T": lambda: _render_t(inv.t_invariant(phrase, moves)),
-        }
-    return [(name, table[name]()) for name in names]
+    return SetContext(builtin, base, args.k, base_moves, None)
 
 
 def _emit(args, rows):
@@ -211,7 +154,7 @@ def cmd_invariants(args):
         rows.append(("conditions", "satisfied" if violation is None else
                      f"violated pair ({violation.letter_a},{violation.letter_b}) "
                      f"condition ({violation.condition})"))
-    lines = _invariant_lines(ctx.phrase, ctx.moves, ctx.lifted)
+    lines = invariant_lines(ctx.phrase, ctx.moves, ctx.lifted)
     if not lines:
         raise NanowordError("no invariant is guaranteed under this move system "
                             "(R must be the graph of tau)")
@@ -235,10 +178,11 @@ def cmd_equiv(args):
         raise NanowordError(f"--max-letters must be at least {needed}")
     if max_states < 1:
         raise NanowordError("--max-states must be positive")
-    verdict = equivalent(p1, p2, ctx1.moves, max_letters, max_states)
-    keys1 = _invariant_lines(p1, ctx1.moves, ctx1.lifted)
-    keys2 = _invariant_lines(p2, ctx2.moves, ctx2.lifted)
+    # The invariant rows are the certificate, so they come before the search.
+    keys1 = invariant_lines(p1, ctx1.moves, ctx1.lifted)
+    keys2 = invariant_lines(p2, ctx2.moves, ctx2.lifted)
     separator = next((n1 for (n1, v1), (_n2, v2) in zip(keys1, keys2) if v1 != v2), None)
+    verdict = equivalent(p1, p2, ctx1.moves, max_letters, max_states)
 
     rows = [("inputs", f"{canonical_form(p1)}  vs  {canonical_form(p2)}"),
             ("states", verdict.explored)]
@@ -255,18 +199,14 @@ def cmd_equiv(args):
         for index, step in enumerate(verdict.path, start=1):
             print(step.describe(index))
         return EXIT_OK
-    if verdict.status == "not_equivalent":
+    if verdict.status == "not_equivalent" or separator is not None:
+        reason = verdict.reason
+        if verdict.status != "not_equivalent":
+            reason = f"invariant {separator} differs; search inconclusive ({reason})"
         rows.insert(0, ("verdict", "NotEquivalent"))
-        rows.append(("reason", verdict.reason))
+        rows.append(("reason", reason))
         if separator is not None:
             rows.append(("separated-by", separator))
-        _emit(args, rows)
-        return EXIT_OK
-    if separator is not None:
-        rows.insert(0, ("verdict", "NotEquivalent"))
-        rows.append(("reason", f"invariant {separator} differs; search inconclusive "
-                               f"({verdict.reason})"))
-        rows.append(("separated-by", separator))
         _emit(args, rows)
         return EXIT_OK
     rows.insert(0, ("verdict", "Unknown"))
@@ -314,113 +254,6 @@ def cmd_enumerate(args):
     if args.format != "tsv":
         print(f"total: {count}")
     return EXIT_OK
-
-
-class _UnionFind:
-    """Union-find over forms.
-
-    Every stored parent is the key object it stands for, and a root maps
-    to itself as that same object, so the walks test identity and never
-    call CanonicalForm.__eq__.
-    """
-
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, item):
-        self.parent.setdefault(item, item)
-
-    def find(self, item):
-        root = item
-        while self.parent[root] is not root:
-            root = self.parent[root]
-        while self.parent[item] is not root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            # Deterministic root: keep the lexicographically smaller form.
-            if rb.serialize() < ra.serialize():
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _set_invariant_key(ctx, form):
-    lines = _invariant_lines(form.to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)
-    return " ".join(f"{name}={value}" for name, value in lines)
-
-
-def classify(ctx, n_letters, max_letters, max_states):
-    """Partition enumerated phrases by invariants, refined by move search.
-
-    Returns (seeds, classes, unknown_pairs, states, truncated) where each
-    class is (representative, invariant key, member list).  Every state
-    reached inside the budgets is checked for invariant constancy along
-    moves; a violation raises ConsistencyError.
-    """
-    seeds = []
-    seen = set()
-    for n in range(n_letters + 1):
-        for phrase in enumerate_nanophrases(ctx.alphabet, n, ctx.k):
-            form = canonical_form(phrase)
-            if form not in seen:
-                seen.add(form)
-                seeds.append(form)
-    cache = NeighborCache(ctx.moves)
-    uf = _UnionFind()
-    visited = set()
-    queue = deque()
-    for form in seeds:
-        uf.add(form)
-        visited.add(form)
-        queue.append(form)
-    truncated = False
-    while queue and not truncated:
-        form = queue.popleft()
-        for _site, child in cache.within(form, max_letters):
-            uf.add(child)
-            uf.union(form, child)
-            if child not in visited:
-                visited.add(child)
-                if len(visited) > max_states:
-                    truncated = True
-                    break
-                queue.append(child)
-
-    keys = {form: _set_invariant_key(ctx, form) for form in visited}
-    by_root = {}
-    for form in sorted(visited, key=lambda f: f.serialize()):
-        by_root.setdefault(uf.find(form), []).append(form)
-    for _root, members in sorted(by_root.items(), key=lambda kv: kv[0].serialize()):
-        first = members[0]
-        offender = next((m for m in members if keys[m] != keys[first]), None)
-        if offender is not None:
-            raise ConsistencyError(
-                f"move-connected states disagree on invariants: "
-                f"{first.serialize()!r} vs {offender.serialize()!r}")
-
-    class_of = {}
-    for seed in seeds:
-        class_of.setdefault(uf.find(seed), []).append(seed)
-    classes = []
-    for root, members in class_of.items():
-        rep = min(members, key=lambda f: f.serialize())
-        classes.append((rep, keys[rep], sorted(members, key=lambda f: f.serialize())))
-    classes.sort(key=lambda item: (item[1], item[0].serialize()))
-
-    unknown_pairs = []
-    if truncated:
-        by_key = {}
-        for rep, key, _members in classes:
-            by_key.setdefault(key, []).append(rep)
-        for key in sorted(by_key):
-            reps = sorted(by_key[key], key=lambda f: f.serialize())
-            for i in range(len(reps)):
-                for j in range(i + 1, len(reps)):
-                    unknown_pairs.append((reps[i], reps[j]))
-    return seeds, classes, unknown_pairs, len(visited), truncated
 
 
 def cmd_classify(args):

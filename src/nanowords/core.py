@@ -107,12 +107,6 @@ class Alphabet:
         """1-based canonical orbit index of a symbol."""
         return self._orbit_index[symbol]
 
-    def is_free_orbit(self, index):
-        return 1 <= index <= self.n_free
-
-    def representative(self, index):
-        return self.representatives[index - 1]
-
     def epsilon(self, symbol):
         """+1 on orbit representatives and fixed points, -1 otherwise."""
         orbit = self.orbits[self._orbit_index[symbol] - 1]
@@ -259,10 +253,6 @@ class Nanophrase:
         """1-based component indices of the two occurrences, ascending."""
         p1, p2 = self._occ[letter]
         return (self.comp_of[p1] + 1, self.comp_of[p2] + 1)
-
-    def is_single_component(self, letter):
-        c1, c2 = self.component_pair(letter)
-        return c1 == c2
 
     def __repr__(self):
         body = " | ".join(" ".join(comp) for comp in self.components)

@@ -16,7 +16,8 @@ they agree with the phrase versions on flattened phrases and remain
 defined on words that no phrase produces.  Both levels read each letter
 as (symbol, i, j) and share one kernel: the profile table comes from a
 single pass over the interleaved letter pairs, and a phrase keeps its
-table, so So and T on one phrase cost one pass.
+table, so So and T on one phrase cost one pass.  invariant_lines renders
+every guaranteed value from one read of the word's records.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import Alphabet, AlphabetMismatch, NanowordError
-from .lift import ProjectionNotLifted
+from .lift import _require_lifted_word
 
 
 class NonGraphR(NanowordError):
@@ -129,13 +130,6 @@ class SigmaVector:
             return "ii"
         return "iii"
 
-    def collapse(self):
-        """Sum the component slots into a single block."""
-        raw = defaultdict(int)
-        for (_j, p, q), coeff in self.entries:
-            raw[(1, p, q)] += coeff
-        return SigmaVector.build(self.n_free, 1, raw)
-
     def render(self):
         if not self.entries:
             return "0"
@@ -223,8 +217,6 @@ def _phrase_parts(phrase):
 
 
 def _lifted_parts(word, lifted):
-    from .lift import _require_lifted_word
-
     _require_lifted_word(word, lifted)
     proj = word.proj
     return [lifted.part(proj[ltr]) for ltr in word.letters]
@@ -267,22 +259,19 @@ def _profile_table(word, alphabet, k, parts):
             for ltr, raw in zip(letters, raws)}
 
 
-def _profile_vectors(phrase):
+def _profile_vectors(phrase, parts=None):
     """letter -> SigmaVector summing its signed interleavings with all others.
 
     Filled on first use and kept in the phrase's `_profiles` slot, so
-    so_phrase and t_invariant share one pass.
+    so_phrase, t_invariant and invariant_lines share one pass.  `parts`
+    are the phrase's records when the caller has already read them.
     """
     profiles = phrase._profiles
     if profiles is None:
-        profiles = _profile_table(phrase, phrase.alphabet, phrase.k, _phrase_parts(phrase))
+        profiles = _profile_table(phrase, phrase.alphabet, phrase.k,
+                                  _phrase_parts(phrase) if parts is None else parts)
         phrase._profiles = profiles
     return profiles
-
-
-def _profile_vectors_lifted(word, lifted):
-    """The same table with component slots read off the subscripts."""
-    return _profile_table(word, lifted.base, lifted.k, _lifted_parts(word, lifted))
 
 
 def _bucketed_census(alphabet, members, profiles):
@@ -319,8 +308,22 @@ def _census(alphabet, k, letters, parts, profiles):
 def so_phrase(phrase, moves):
     """The per-component signed census of single-component letters."""
     _require_graph_tau(moves, phrase)
-    return _census(phrase.alphabet, phrase.k, phrase.letters, _phrase_parts(phrase),
-                   _profile_vectors(phrase))
+    parts = _phrase_parts(phrase)
+    return _census(phrase.alphabet, phrase.k, phrase.letters, parts,
+                   _profile_vectors(phrase, parts))
+
+
+def _t(alphabet, k, letters, parts, profiles):
+    """Per component, the epsilon-weighted collapsed profiles of its diagonal letters."""
+    blocks = []
+    for comp_members in _diagonal_members(k, letters, parts):
+        raw = defaultdict(int)
+        for ltr, symbol in comp_members:
+            eps = alphabet.epsilon(symbol)
+            for (_j, p, q), coeff in profiles[ltr].entries:
+                raw[(1, p, q)] += eps * coeff
+        blocks.append(SigmaVector.build(alphabet.n_free, 1, raw))
+    return tuple(blocks)
 
 
 def t_invariant(phrase, moves):
@@ -331,17 +334,8 @@ def t_invariant(phrase, moves):
     letter's interleaving counts summed across component slots.
     """
     _require_graph_tau(moves, phrase)
-    profiles = _profile_vectors(phrase)
-    alphabet = phrase.alphabet
-    blocks = []
-    for comp_members in _diagonal_members(phrase.k, phrase.letters, _phrase_parts(phrase)):
-        raw = defaultdict(int)
-        for ltr, symbol in comp_members:
-            eps = alphabet.epsilon(symbol)
-            for (_j, p, q), coeff in profiles[ltr].entries:
-                raw[(1, p, q)] += eps * coeff
-        blocks.append(SigmaVector.build(alphabet.n_free, 1, raw))
-    return tuple(blocks)
+    parts = _phrase_parts(phrase)
+    return _t(phrase.alphabet, phrase.k, phrase.letters, parts, _profile_vectors(phrase, parts))
 
 
 def t_from_so(so_value, n_free):
@@ -395,8 +389,9 @@ def clv_phrase(phrase, moves):
 
 def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
-    return _census(lifted.base, lifted.k, word.letters, _lifted_parts(word, lifted),
-                   _profile_vectors_lifted(word, lifted))
+    parts = _lifted_parts(word, lifted)
+    return _census(lifted.base, lifted.k, word.letters, parts,
+                   _profile_table(word, lifted.base, lifted.k, parts))
 
 
 def lk_lifted(word, lifted):
@@ -438,3 +433,43 @@ def lifted_invariants_applicable(moves, lifted):
     if moves.s <= lifted.diagonal_triples():
         names += ("So",)
     return names
+
+
+def _tuple_text(values):
+    return "(" + ",".join(map(str, values)) + ")"
+
+
+# name -> (value from (alphabet, k, letters, parts, profiles), its rendering)
+_REGISTRY = {
+    "lk": (lambda alphabet, k, _letters, parts, _profiles: _lk(alphabet, k, parts),
+           _tuple_text),
+    "clv": (lambda _alphabet, k, _letters, parts, _profiles: _clv(k, parts), _tuple_text),
+    "So": (_census, str),
+    "T": (_t, lambda blocks: "; ".join(f"{j}: {b}" for j, b in enumerate(blocks, start=1))),
+}
+
+
+def invariant_lines(word, moves, lifted=None):
+    """(name, rendered value) for every invariant the system guarantees.
+
+    `lifted` selects the word level over that lifted alphabet; None
+    selects the phrase level.  The word's (symbol, i, j) records are read
+    once and its profile table is built at most once (a phrase keeps
+    it).  There are no rows when the system guarantees no invariant.
+    """
+    if lifted is None:
+        names = phrase_invariants_applicable(moves)
+        if names:
+            _require_graph_tau(moves, word)
+            alphabet, k, parts = word.alphabet, word.k, _phrase_parts(word)
+            profiles = _profile_vectors(word, parts) if "So" in names else None
+    else:
+        names = lifted_invariants_applicable(moves, lifted)
+        if names:
+            alphabet, k, parts = lifted.base, lifted.k, _lifted_parts(word, lifted)
+            profiles = _profile_table(word, alphabet, k, parts) if "So" in names else None
+    rows = []
+    for name in names:
+        value, render = _REGISTRY[name]
+        rows.append((name, render(value(alphabet, k, word.letters, parts, profiles))))
+    return rows

@@ -153,15 +153,28 @@ def _require_lifted_word(word, lifted):
         raise NanowordError("expected a one-component word")
 
 
+def _labels(word, lifted):
+    """Per position, its letter's subscript m at a first occurrence, n at a second."""
+    _require_lifted_word(word, lifted)
+    labels = []
+    for pos, ltr in enumerate(word.flat):
+        _s, m, n = lifted.part(word.proj[ltr])
+        labels.append(m if word.occurrences(ltr)[0] == pos else n)
+    return labels
+
+
 def check_conditions(word, lifted):
     """First violated order condition, or None when the word is liftable.
 
     For letters A, B with occurrence positions i_. <= j_. and subscript
     pairs (m_., n_.), the four conditions compare the subscript at each
     comparable occurrence pair: earlier occurrences must not carry larger
-    component indices.
+    component indices.  Together they say exactly that `_labels` never
+    decrease, which is checked first; the pair scan only names the pair.
     """
-    _require_lifted_word(word, lifted)
+    labels = _labels(word, lifted)
+    if all(a <= b for a, b in zip(labels, labels[1:])):
+        return None
     info = {}
     for ltr in word.letters:
         i, j = word.occurrences(ltr)
@@ -181,7 +194,7 @@ def check_conditions(word, lifted):
                 return ConditionViolation(a, b, 3)
             if ja <= jb and not na <= nb:
                 return ConditionViolation(a, b, 4)
-    return None
+    raise ConsistencyError("component labels decrease but no order condition fails")
 
 
 def psi(word, lifted):
@@ -193,16 +206,9 @@ def psi(word, lifted):
     so cutting at increases, with empty components for skipped indices,
     yields the unique phrase that flattens back to the word.
     """
-    violation = check_conditions(word, lifted)
-    if violation is not None:
-        raise ConditionsViolated(violation)
-    labels = []
-    for pos, ltr in enumerate(word.flat):
-        first = word.occurrences(ltr)[0] == pos
-        _s, m, n = lifted.part(word.proj[ltr])
-        labels.append(m if first else n)
+    labels = _labels(word, lifted)
     if any(a > b for a, b in zip(labels, labels[1:])):
-        raise ConsistencyError("component labels are not nondecreasing")
+        raise ConditionsViolated(check_conditions(word, lifted))
     components = [[] for _ in range(lifted.k)]
     for pos, label in enumerate(labels):
         components[label - 1].append(word.flat[pos])

@@ -1,5 +1,6 @@
 import pytest
 
+import nanowords.cli
 from nanowords.cli import main
 
 
@@ -80,6 +81,17 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", f)
         assert code == 2 and "graph of tau" in err
 
+    def test_custom_q_line_is_rejected_at_the_lifted_level(self, capsys, tmp_path):
+        f = write(tmp_path, "p.txt", "alpha: x y\ntau: x=y\nQ: x\nproj: A=x_1_2\nphrase: A A\n")
+        code, out, err = run(capsys, "invariants", f, "--k", "2")
+        assert (code, out) == (2, "")
+        assert "custom Q/R lines are not supported at the lifted level" in err
+
+    def test_ornaments_census(self, capsys, tmp_path):
+        f = write(tmp_path, "w.txt", "proj: A=a_1_2 B=a_1_1\nphrase: A B B A\n")
+        code, out, _ = run(capsys, "invariants", f, "--builtin", "ornaments", "--k", "2")
+        assert code == 0 and "So: 1: 0; 2: 0" in out.splitlines()
+
     def test_tsv_format(self, capsys, remark_word):
         code, out, _ = run(capsys, "invariants", remark_word,
                            "--builtin", "diagonal", "--k", "2", "--format", "tsv")
@@ -126,6 +138,18 @@ class TestEquiv:
         code, out, _ = run(capsys, "equiv", f1, f2, "--builtin", "diagonal",
                            "--max-letters", "8", "--max-states", "40")
         assert code == 4 and "verdict: Unknown" in out
+
+    def test_invariants_fail_before_the_search(self, capsys, tmp_path, monkeypatch):
+        # Lifted invariants need one-component words; that error must come
+        # before any search, since the invariant rows are the certificate.
+        def no_search(*args, **kwargs):
+            raise AssertionError("equivalent() was called")
+
+        monkeypatch.setattr(nanowords.cli, "equivalent", no_search)
+        f1 = write(tmp_path, "a.txt", "proj: A=a_1_2 B=a_1_1\nphrase: A B | B A\n")
+        f2 = write(tmp_path, "b.txt", "proj: A=a_1_1\nphrase: A | A\n")
+        code, out, err = run(capsys, "equiv", f1, f2, "--builtin", "curves", "--k", "2")
+        assert (code, out) == (2, "") and "expected a one-component word" in err
 
     def test_alphabet_mismatch(self, capsys, tmp_path):
         f1 = write(tmp_path, "a.txt", "alpha: a\nproj: A=a\nphrase: A A\n")
@@ -208,6 +232,10 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--builtin", "curves", "--n", "1",
                            "--max-states", "0")
         assert code == 2 and "must be positive" in err
+
+    def test_ornaments_lifted_classes(self, capsys):
+        code, out, _ = run(capsys, "classify", "--builtin", "ornaments", "--k", "2", "--n", "1")
+        assert code == 0 and "classes: 3" in out.splitlines()
 
     def test_tsv_members(self, capsys):
         code, out, _ = run(capsys, "classify", "--builtin", "diagonal", "--n", "1",

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from nanowords import (
     Alphabet,
+    AlphabetMismatch,
     LiftedAlphabet,
     MoveSystem,
     Nanophrase,
@@ -31,7 +32,13 @@ from nanowords import (
     t_from_so,
     t_invariant,
 )
-from nanowords.invariants import _interleaving, _profile_vectors, _profile_vectors_lifted
+from nanowords.invariants import (
+    _interleaving,
+    _lifted_parts,
+    _profile_table,
+    _profile_vectors,
+    invariant_lines,
+)
 from conftest import ph
 
 
@@ -342,7 +349,7 @@ def _check_phrase(phrase, moves):
 
 
 def _check_lifted(word, lifted):
-    profiles = _profile_vectors_lifted(word, lifted)
+    profiles = _profile_table(word, lifted.base, lifted.k, _lifted_parts(word, lifted))
     assert profiles == _reference_lifted_profiles(word, lifted)
     slots = [lifted.part(word.proj[ltr]) for ltr in word.letters]
     assert (lk_lifted(word, lifted), clv_lifted(word, lifted)) == \
@@ -390,3 +397,94 @@ def test_profile_kernel_matches_references_on_random_words(name):
             _check_lifted(w, lifted)
             violated += check_conditions(w, lifted) is not None
     assert violated > 0
+
+
+# The renderings the CLI has always printed, one per invariant name.
+def _render_tuple(value, render):
+    return "(" + ",".join(render(e) for e in value) + ")"
+
+
+_REFERENCE_RENDER = {
+    "lk": lambda value: _render_tuple(value, lambda e: e.render()),
+    "clv": lambda value: _render_tuple(value, str),
+    "So": lambda value: value.render(),
+    "T": lambda blocks: "; ".join(f"{j}: {block.render()}"
+                                  for j, block in enumerate(blocks, start=1)),
+}
+
+
+def _reference_lines(word, moves, lifted):
+    if lifted is None:
+        names = phrase_invariants_applicable(moves)
+        funcs = {"lk": lk_phrase, "clv": clv_phrase, "So": so_phrase, "T": t_invariant}
+        return [(n, _REFERENCE_RENDER[n](funcs[n](word, moves))) for n in names]
+    names = lifted_invariants_applicable(moves, lifted)
+    funcs = {"lk": lk_lifted, "clv": clv_lifted, "So": so_lifted}
+    return [(n, _REFERENCE_RENDER[n](funcs[n](word, lifted))) for n in names]
+
+
+def _counting(monkeypatch, name):
+    import nanowords.invariants as inv
+
+    calls = []
+    func = getattr(inv, name)
+    monkeypatch.setattr(inv, name, lambda *args: calls.append(1) or func(*args))
+    return calls
+
+
+def _assert_lines(word, moves, lifted, reads, tables):
+    del reads[:], tables[:]
+    lines = invariant_lines(word, moves, lifted)
+    names = [name for name, _ in lines]
+    assert len(reads) == (1 if names else 0)
+    assert len(tables) <= 1
+    assert lines == _reference_lines(word, moves, lifted)
+    return names
+
+
+@pytest.mark.parametrize("name", ["curves", "links", "diagonal"])
+def test_invariant_lines_match_public_functions(monkeypatch, name):
+    reads = _counting(monkeypatch, "_phrase_parts")
+    lifted_reads = _counting(monkeypatch, "_lifted_parts")
+    tables = _counting(monkeypatch, "_profile_table")
+    seen = set()
+    for k in (1, 2):
+        data = builtin_data(name, k)
+        for n in range(4):
+            for p in enumerate_nanophrases(data.base_alphabet, n, k):
+                seen.add(tuple(_assert_lines(p, data.base_moves, None, reads, tables)))
+                w = phi(p, data.lifted)
+                seen.add(tuple(_assert_lines(w, data.lifted_moves, data.lifted,
+                                             lifted_reads, tables)))
+    expected = {"curves": {("lk", "clv", "So", "T"), ("lk", "clv", "So")},
+                "links": {("lk", "clv")},
+                "diagonal": {("lk", "clv", "So", "T"), ("lk", "clv", "So")}}
+    assert seen == expected[name]
+
+
+def test_invariant_lines_on_ornaments_words(monkeypatch):
+    reads = _counting(monkeypatch, "_lifted_parts")
+    tables = _counting(monkeypatch, "_profile_table")
+    data = builtin_data("ornaments", 2)
+    for n in range(4):
+        for w in enumerate_nanophrases(data.lifted.alphabet, n, 1):
+            assert _assert_lines(w, data.lifted_moves, data.lifted, reads, tables) == [
+                "lk", "clv", "So"]
+
+
+def test_invariant_lines_reads_the_phrase_memo(curves):
+    p = ph(curves.base_alphabet, "ABAB", {"A": "a", "B": "b"})
+    invariant_lines(p, curves.base_moves)
+    profiles = p._profiles
+    assert profiles is not None
+    so_phrase(p, curves.base_moves)
+    assert p._profiles is profiles
+
+
+def test_invariant_lines_without_guarantees_or_on_other_alphabets(curves, diagonal):
+    alpha = Alphabet(("a",))
+    non_graph = MoveSystem(alpha, q=("a",), r=(), s=())
+    p = ph(alpha, "AA", {"A": "a"})
+    assert invariant_lines(p, non_graph) == []
+    with pytest.raises(AlphabetMismatch):
+        invariant_lines(ph(curves.base_alphabet, "AA", {"A": "a"}), diagonal.base_moves)

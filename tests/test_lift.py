@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from nanowords import (
     Alphabet,
+    ConditionViolation,
     ConditionsViolated,
     LiftedAlphabet,
     Nanophrase,
@@ -171,6 +173,83 @@ def test_conditions_accept_exactly_the_flattened_words(ab_alphabet):
             assert canonical_form(phi(psi(w, lifted), lifted)) == canonical_form(w)
         else:
             assert canonical_form(w) not in images
+
+
+def _pair_scan(word, lifted):
+    """The O(n^2) reference: every ordered letter pair, all four conditions."""
+    info = {}
+    for ltr in word.letters:
+        i, j = word.occurrences(ltr)
+        _s, m, n = lifted.part(word.proj[ltr])
+        info[ltr] = (i, j, m, n)
+    for a in word.letters:
+        ia, ja, ma, na = info[a]
+        for b in word.letters:
+            if a == b:
+                continue
+            ib, jb, mb, nb = info[b]
+            if ia <= ib and not ma <= mb:
+                return ConditionViolation(a, b, 1)
+            if ia <= jb and not ma <= nb:
+                return ConditionViolation(a, b, 2)
+            if ja <= ib and not na <= mb:
+                return ConditionViolation(a, b, 3)
+            if ja <= jb and not na <= nb:
+                return ConditionViolation(a, b, 4)
+    return None
+
+
+@pytest.mark.parametrize("name", ["curves", "links"])
+def test_label_check_matches_pair_scan_on_small_words(name):
+    # Every one-component word over the lifted alphabet, n <= 3.
+    for k in (1, 2, 3):
+        lifted = builtin_data(name, k).lifted
+        outcomes = set()
+        for n in range(4):
+            for w in enumerate_nanophrases(lifted.alphabet, n, 1):
+                expected = _pair_scan(w, lifted)
+                assert check_conditions(w, lifted) == expected
+                outcomes.add(expected is None)
+        assert outcomes == ({True} if k == 1 else {True, False})
+
+
+@pytest.mark.parametrize("name", ["curves", "links"])
+def test_label_check_matches_pair_scan_on_random_words(name):
+    rng = random.Random(f"label-check:{name}")
+    satisfied = violated = 0
+    for k in (2, 3):
+        data = builtin_data(name, k)
+        lifted = data.lifted
+        for _ in range(60):
+            n = rng.randint(10, 20)
+            letters = [f"L{i}" for i in range(n)]
+            flat = letters * 2
+            rng.shuffle(flat)
+            cuts = sorted(rng.randrange(2 * n + 1) for _ in range(k - 1))
+            bounds = [0] + cuts + [2 * n]
+            phrase = Nanophrase(data.base_alphabet,
+                                [flat[bounds[c]:bounds[c + 1]] for c in range(k)],
+                                {ltr: rng.choice(data.base_alphabet.symbols) for ltr in letters})
+            word = phi(phrase, lifted)
+            # A flattened word, the same word with two adjacent positions
+            # swapped, and a word with arbitrary subscripts.
+            swapped = list(word.flat)
+            at = rng.randrange(2 * n - 1)
+            swapped[at], swapped[at + 1] = swapped[at + 1], swapped[at]
+            arbitrary = {ltr: rng.choice(lifted.alphabet.symbols) for ltr in letters}
+            for w in (word, Nanophrase(lifted.alphabet, [swapped], word.proj),
+                      Nanophrase(lifted.alphabet, [word.flat], arbitrary)):
+                expected = _pair_scan(w, lifted)
+                assert check_conditions(w, lifted) == expected
+                if expected is None:
+                    satisfied += 1
+                    assert canonical_form(phi(psi(w, lifted), lifted)) == canonical_form(w)
+                else:
+                    violated += 1
+                    with pytest.raises(ConditionsViolated) as err:
+                        psi(w, lifted)
+                    assert err.value.violation == expected
+    assert satisfied > 100 and violated > 100
 
 
 class TestBuiltins:
