@@ -53,9 +53,6 @@ class _UnionFind:
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra is not rb:
-            # Deterministic root: keep the lexicographically smaller form.
-            if rb.serialize() < ra.serialize():
-                ra, rb = rb, ra
             self.parent[rb] = ra
 
 
@@ -105,7 +102,7 @@ def classify(ctx, n_letters, max_letters, max_states):
     by_root = {}
     for form in sorted(visited, key=lambda f: f.serialize()):
         by_root.setdefault(uf.find(form), []).append(form)
-    for _root, members in sorted(by_root.items(), key=lambda kv: kv[0].serialize()):
+    for members in by_root.values():
         first = members[0]
         offender = next((m for m in members if keys[m] != keys[first]), None)
         if offender is not None:

@@ -84,7 +84,16 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     wanted = set(kinds)
     n = len(proj)
     sites = []
-    adj = [p for p in range(len(flat) - 1) if comp_of[p] == comp_of[p + 1]]
+    # partner[p] is the other occurrence of the letter at p; joined[p] says
+    # that p and p + 1 are adjacent in one component.  The first pair
+    # (i, i + 1) of a matched pattern names its partner pairs, so each kind
+    # has one candidate per adjacent pair, tested in O(1).
+    joined = [a == b for a, b in zip(comp_of, comp_of[1:])] + [False]
+    adj = [p for p, ok in enumerate(joined) if ok]
+    partner, first = [0] * len(flat), {}
+    for p, ltr in enumerate(flat):
+        other = first.setdefault(ltr, p)
+        partner[p], partner[other] = other, p
 
     if "M1" in wanted:
         for p in adj:
@@ -92,42 +101,31 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
                 sites.append(MoveSite("M1", (p, p + 1), (flat[p],)))
 
     if "M2" in wanted:
-        for ai, i in enumerate(adj):
-            a, b = flat[i], flat[i + 1]
-            if a == b or (proj[a], proj[b]) not in moves.r:
-                continue
-            for j in adj[ai + 1:]:
-                if j >= i + 2 and flat[j] == b and flat[j + 1] == a:
+        for i in adj:
+            j = partner[i + 1]
+            if j > i + 1 and joined[j] and partner[i] == j + 1:
+                a, b = flat[i], flat[i + 1]
+                if (proj[a], proj[b]) in moves.r:
                     sites.append(MoveSite("M2", (i, i + 1, j, j + 1), (a, b)))
 
-    if "M3" in wanted or "M3inv" in wanted:
-        m3, m3inv = [], []
-        m = len(adj)
-        for x in range(m):
-            i = adj[x]
-            for y in range(x + 1, m):
-                j = adj[y]
-                if j < i + 2:
-                    continue
-                # The first two pairs already decide whether either kind can match.
-                fwd = "M3" in wanted and flat[i] == flat[j]
-                inv = "M3inv" in wanted and flat[i + 1] == flat[j + 1]
-                if not (fwd or inv):
-                    continue
-                for z in range(y + 1, m):
-                    l = adj[z]
-                    if l < j + 2:
-                        continue
-                    pos = (i, i + 1, j, j + 1, l, l + 1)
-                    if fwd and flat[i + 1] == flat[l] and flat[j + 1] == flat[l + 1]:
-                        a, b, c = flat[i], flat[i + 1], flat[j + 1]
-                        if (proj[a], proj[b], proj[c]) in moves.s:
-                            m3.append(MoveSite("M3", pos, (a, b, c)))
-                    if inv and flat[j] == flat[l] and flat[i] == flat[l + 1]:
-                        a, b, c = flat[i + 1], flat[i], flat[j]
-                        if (proj[a], proj[b], proj[c]) in moves.s:
-                            m3inv.append(MoveSite("M3inv", pos, (a, b, c)))
-        sites += m3 + m3inv
+    if "M3" in wanted:
+        for i in adj:
+            j, l = partner[i], partner[i + 1]
+            if i + 1 < j < l - 1 and joined[j] and joined[l] and partner[j + 1] == l + 1:
+                a, b, c = flat[i], flat[i + 1], flat[j + 1]
+                if (proj[a], proj[b], proj[c]) in moves.s:
+                    sites.append(MoveSite("M3", (i, i + 1, j, j + 1, l, l + 1), (a, b, c)))
+
+    if "M3inv" in wanted:
+        for i in adj:
+            j = partner[i + 1] - 1
+            if j <= i + 1:  # also keeps j from going negative
+                continue
+            l = partner[j]
+            if j < l - 1 and joined[j] and joined[l] and partner[i] == l + 1:
+                a, b, c = flat[i + 1], flat[i], flat[j]
+                if (proj[a], proj[b], proj[c]) in moves.s:
+                    sites.append(MoveSite("M3inv", (i, i + 1, j, j + 1, l, l + 1), (a, b, c)))
 
     if max_letters is not None:
         q = moves.q if "M1ins" in wanted and n + 1 <= max_letters else frozenset()

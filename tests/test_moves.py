@@ -4,7 +4,10 @@ import pytest
 
 from nanowords import (
     ALL_KINDS,
+    INSERTION_KINDS,
+    MATCH_KINDS,
     CanonicalForm,
+    MoveSite,
     MoveSystem,
     Nanophrase,
     NeighborCache,
@@ -266,6 +269,125 @@ def test_form_sites_match_phrase_sites_on_grown_words(name, k):
         expected = [(s, canonical_form(apply_move(phrase, s)))
                     for s in find_move_sites(phrase, moves, ALL_KINDS, form.n_letters + 1)]
         assert list(cache.within(form, form.n_letters + 1)) == expected, form
+
+
+def _reference_matched_sites(phrase, moves):
+    # The pair and triple scans over adjacent positions that found the
+    # matched sites before the partner index, kept as the reference.
+    flat, comp_of, proj = phrase.flat, phrase.comp_of, phrase.proj
+    adj = [p for p in range(len(flat) - 1) if comp_of[p] == comp_of[p + 1]]
+    sites = []
+    for p in adj:
+        if flat[p] == flat[p + 1] and proj[flat[p]] in moves.q:
+            sites.append(MoveSite("M1", (p, p + 1), (flat[p],)))
+    for ai, i in enumerate(adj):
+        a, b = flat[i], flat[i + 1]
+        if a == b or (proj[a], proj[b]) not in moves.r:
+            continue
+        for j in adj[ai + 1:]:
+            if j >= i + 2 and flat[j] == b and flat[j + 1] == a:
+                sites.append(MoveSite("M2", (i, i + 1, j, j + 1), (a, b)))
+    m3, m3inv = [], []
+    for x, i in enumerate(adj):
+        for y in range(x + 1, len(adj)):
+            j = adj[y]
+            if j < i + 2:
+                continue
+            for l in adj[y + 1:]:
+                if l < j + 2:
+                    continue
+                pos = (i, i + 1, j, j + 1, l, l + 1)
+                if flat[i] == flat[j] and flat[i + 1] == flat[l] \
+                        and flat[j + 1] == flat[l + 1]:
+                    a, b, c = flat[i], flat[i + 1], flat[j + 1]
+                    if (proj[a], proj[b], proj[c]) in moves.s:
+                        m3.append(MoveSite("M3", pos, (a, b, c)))
+                if flat[i + 1] == flat[j + 1] and flat[j] == flat[l] \
+                        and flat[i] == flat[l + 1]:
+                    a, b, c = flat[i + 1], flat[i], flat[j]
+                    if (proj[a], proj[b], proj[c]) in moves.s:
+                        m3inv.append(MoveSite("M3inv", pos, (a, b, c)))
+    return sites + m3 + m3inv
+
+
+def _assert_matched_sites_match_reference(moves, phrase, counts):
+    # On the phrase and on its canonical form (read as form.to_phrase
+    # builds it), for the matched kinds alone and with the insertions of
+    # a budget of n + 2 letters.
+    form = canonical_form(phrase)
+    for word, named in ((phrase, phrase), (form, form.to_phrase(moves.alphabet))):
+        expected = _reference_matched_sites(named, moves)
+        assert find_move_sites(word, moves, MATCH_KINDS) == expected, word
+        budget = word.n_letters + 2
+        assert find_move_sites(word, moves, ALL_KINDS, budget) == \
+            expected + find_move_sites(word, moves, INSERTION_KINDS, budget), word
+    for site in expected:
+        counts[site.kind] = counts.get(site.kind, 0) + 1
+
+
+def _walked_phrases(moves, k, count, seed):
+    # Seeded 10 to 22 letter phrases, walked from the empty phrase by
+    # moves of a random kind inside a letter budget of the target size;
+    # below target - 2 letters only insertions are drawn.
+    rng = random.Random(f"walk:{seed}:{k}")
+    phrases = []
+    for _ in range(count):
+        target = rng.randint(10, 22)
+        phrase = Nanophrase(moves.alphabet, [()] * k, {})
+        steps = 0
+        while steps < 4 * target or phrase.n_letters < 10:
+            kinds = ALL_KINDS if phrase.n_letters >= target - 2 else INSERTION_KINDS
+            sites = find_move_sites(phrase, moves, (rng.choice(kinds),), target)
+            if sites:
+                phrase = apply_move(phrase, rng.choice(sites))
+            steps += 1
+        phrases.append(phrase)
+    return phrases
+
+
+def test_matched_sites_match_the_reference_scans():
+    # diagonal k = 1 at n = 5 has words with an M3inv site before an M3 site.
+    counts = {}
+    for name, k, max_n in (("curves", 1, 3), ("curves", 2, 3), ("links", 1, 3),
+                           ("links", 2, 3), ("diagonal", 1, 5), ("diagonal", 2, 3)):
+        data = builtin_data(name)
+        for n in range(max_n + 1):
+            for phrase in enumerate_nanophrases(data.base_alphabet, n, k):
+                _assert_matched_sites_match_reference(data.base_moves, phrase, counts)
+    for name in ("ornaments", "curves"):
+        data = builtin_data(name, 2)
+        for n in range(3):
+            for word in enumerate_nanophrases(data.lifted.alphabet, n, 1):
+                _assert_matched_sites_match_reference(data.lifted_moves, word, counts)
+    for name in ("curves", "links", "diagonal"):
+        moves = builtin_data(name).base_moves
+        for k in (1, 2, 3):
+            for phrase in _walked_phrases(moves, k, 6, name):
+                _assert_matched_sites_match_reference(moves, phrase, counts)
+    # Every matched kind occurs often enough for the comparison to mean something.
+    assert all(counts.get(kind, 0) >= 50 for kind in MATCH_KINDS), counts
+
+
+@pytest.mark.parametrize("spec,expected", [
+    # The M3inv candidate at the pair (1, 2) would be j = -1.
+    ("ABAB", []),
+    # Partner pairs in later components.
+    ("AB|BA", [("M2", (0, 1, 2, 3))]),
+    ("AB|AC|BC", [("M3", (0, 1, 2, 3, 4, 5))]),
+    ("BA|CA|CB", [("M3inv", (0, 1, 2, 3, 4, 5))]),
+    ("ABAC|BC", [("M3", (0, 1, 2, 3, 4, 5))]),
+    # A partner pair split by a component boundary.
+    ("AB|B|A", []),
+    ("ABA|CBC", []),
+    ("AB|ACB|C", []),
+    ("BAC|ACB", []),
+    ("BACA|C|B", []),
+])
+def test_partner_pairs_across_components(diagonal, spec, expected):
+    p = ph(diagonal.base_alphabet, spec, dict.fromkeys("ABC", "a"))
+    sites = find_move_sites(p, diagonal.base_moves, MATCH_KINDS)
+    assert [(s.kind, s.positions) for s in sites] == expected
+    assert sites == _reference_matched_sites(p, diagonal.base_moves)
 
 
 class TestFormKernel:
