@@ -1,20 +1,23 @@
 """Classification of enumerated phrases up to the gated moves.
 
-`classify` joins move-connected forms inside letter and state budgets
-and labels each class with its guaranteed invariants, which must agree
-along every move.
+`classify` closes one class at a time: a breadth-first search from each
+enumerated form that no earlier closure reached.  Inside the letter
+budget every move has its inverse (M1/M1ins, M2/M2ins, M3/M3inv, each
+gated by the same Q/R/S member), so one seed's closure is its whole
+class.  Each class is labelled with its guaranteed invariants, which
+must agree along every move.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .core import Alphabet, ConsistencyError, MoveSystem, canonical_form, enumerate_nanophrases
 from .invariants import invariant_lines
 from .lift import LiftedAlphabet
-from .moves import NeighborCache
+from .moves import NeighborCache, _budget_cut
 
 
 @dataclass
@@ -28,103 +31,67 @@ class SetContext:
     lifted: LiftedAlphabet
 
 
-class _UnionFind:
-    """Union-find over forms.
-
-    Every stored parent is the key object it stands for, and a root maps
-    to itself as that same object, so the walks test identity and never
-    call CanonicalForm.__eq__.
-    """
-
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, item):
-        self.parent.setdefault(item, item)
-
-    def find(self, item):
-        root = item
-        while self.parent[root] is not root:
-            root = self.parent[root]
-        while self.parent[item] is not root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self.parent[rb] = ra
-
-
 def _set_invariant_key(ctx, form):
     lines = invariant_lines(form.to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)
     return " ".join(f"{name}={value}" for name, value in lines)
 
 
 def classify(ctx, n_letters, max_letters, max_states):
-    """Partition enumerated phrases by invariants, refined by move search.
+    """Partition enumerated phrases by move closures inside the budgets.
 
     Returns (seeds, classes, unknown_pairs, states, truncated) where each
-    class is (representative, invariant key, member list).  Every state
-    reached inside the budgets is checked for invariant constancy along
-    moves; a violation raises ConsistencyError.
+    class is (representative, invariant key, member list).  A closure is
+    certified when neither budget cut it, and then it is the whole
+    class; two classes that share a key are an unknown pair unless one
+    of them is certified.  Every state reached must carry its seed's
+    invariant key and belong to one closure only; otherwise
+    ConsistencyError is raised.
     """
-    seeds = []
-    seen = set()
-    for n in range(n_letters + 1):
-        for phrase in enumerate_nanophrases(ctx.alphabet, n, ctx.k):
-            form = canonical_form(phrase)
-            if form not in seen:
-                seen.add(form)
-                seeds.append(form)
-    cache = NeighborCache(ctx.moves)
-    uf = _UnionFind()
-    visited = set()
-    queue = deque()
-    for form in seeds:
-        uf.add(form)
-        visited.add(form)
-        queue.append(form)
+    if max_letters < n_letters:
+        raise ValueError("max_letters must cover the enumeration")
+    seeds = list(dict.fromkeys(
+        canonical_form(phrase) for n in range(n_letters + 1)
+        for phrase in enumerate_nanophrases(ctx.alphabet, n, ctx.k)))
+    home, keys, certified = {}, {}, {}
     truncated = False
-    while queue and not truncated:
-        form = queue.popleft()
-        for _site, child in cache.within(form, max_letters):
-            uf.add(child)
-            uf.union(form, child)
-            if child not in visited:
-                visited.add(child)
-                if len(visited) > max_states:
-                    truncated = True
-                    break
-                queue.append(child)
-
-    keys = {form: _set_invariant_key(ctx, form) for form in visited}
-    by_root = {}
-    for form in sorted(visited, key=lambda f: f.serialize()):
-        by_root.setdefault(uf.find(form), []).append(form)
-    for members in by_root.values():
-        first = members[0]
-        offender = next((m for m in members if keys[m] != keys[first]), None)
-        if offender is not None:
-            raise ConsistencyError(
-                f"move-connected states disagree on invariants: "
-                f"{first.serialize()!r} vs {offender.serialize()!r}")
+    for seed in seeds:
+        if seed in home:
+            continue
+        home[seed] = seed
+        keys[seed] = key = _set_invariant_key(ctx, seed)
+        cache = NeighborCache(ctx.moves)
+        queue = deque([seed])
+        cut = False
+        while queue and not truncated:
+            form = queue.popleft()
+            cut = cut or _budget_cut(form, ctx.moves, max_letters)
+            for _site, child in cache.within(form, max_letters):
+                owner = home.get(child)
+                if owner is None:
+                    if _set_invariant_key(ctx, child) != key:
+                        raise ConsistencyError(
+                            f"move-connected states disagree on invariants: "
+                            f"{seed.serialize()!r} vs {child.serialize()!r}")
+                    home[child] = seed
+                    if len(home) > max_states:
+                        truncated = True
+                        break
+                    queue.append(child)
+                elif owner is not seed:
+                    raise ConsistencyError(
+                        f"the closures of {owner.serialize()!r} and "
+                        f"{seed.serialize()!r} meet at {child.serialize()!r}")
+        certified[seed] = not (cut or truncated)
 
     class_of = {}
     for seed in seeds:
-        class_of.setdefault(uf.find(seed), []).append(seed)
+        class_of.setdefault(home[seed], []).append(seed)
     classes = []
     for root, members in class_of.items():
-        rep = min(members, key=lambda f: f.serialize())
-        classes.append((rep, keys[rep], sorted(members, key=lambda f: f.serialize())))
+        members.sort(key=lambda f: f.serialize())
+        classes.append((members[0], keys[root], members, certified[root]))
     classes.sort(key=lambda item: (item[1], item[0].serialize()))
 
-    unknown_pairs = []
-    if truncated:
-        by_key = {}
-        for rep, key, _members in classes:
-            by_key.setdefault(key, []).append(rep)
-        for key in sorted(by_key):
-            reps = sorted(by_key[key], key=lambda f: f.serialize())
-            unknown_pairs.extend(combinations(reps, 2))
-    return seeds, classes, unknown_pairs, len(visited), truncated
+    unknown_pairs = [(a[0], b[0]) for _key, group in groupby(classes, key=lambda c: c[1])
+                     for a, b in combinations(group, 2) if not (a[3] or b[3])]
+    return seeds, [c[:3] for c in classes], unknown_pairs, len(home), truncated

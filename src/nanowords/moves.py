@@ -417,13 +417,24 @@ class NeighborCache:
                      if child.n_letters <= max_letters)
 
 
+def _budget_cut(form, moves, max_letters):
+    # True when the letter budget suppresses an admissible insertion at
+    # form: every form has a gap, so M1ins needs only a Q member and one
+    # letter of slack, M2ins an R member and two.
+    slack = max_letters - form.n_letters
+    return (bool(moves.q) and slack < 1) or (bool(moves.r) and slack < 2)
+
+
 def equivalent(phrase1, phrase2, moves, max_letters, max_states,
                neighbor_cache=None):
     """Decide relatedness by moves, bidirectionally, within budgets.
 
     Returns a Verdict: EQUIVALENT with a replayable path, NOT_EQUIVALENT
-    when a reachable set was exhausted inside the budget without meeting
-    the other side, or UNKNOWN when max_states was hit first.
+    when a reachable set was exhausted without meeting the other side
+    and the letter budget cut no move from it (or when the component
+    counts, or with Q empty the letter-count parities, differ), or
+    UNKNOWN when max_states was hit first or the budget cut the closed
+    set.
     """
     if phrase1.alphabet != phrase2.alphabet or moves.alphabet != phrase1.alphabet:
         raise AlphabetMismatch("equivalence needs a single shared alphabet")
@@ -431,6 +442,9 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         raise ValueError("max_letters must cover both input phrases")
     if phrase1.k != phrase2.k:
         return Verdict(NOT_EQUIVALENT, reason="component counts differ")
+    if not moves.q and (phrase1.n_letters - phrase2.n_letters) % 2:
+        # Without M1/M1ins every move keeps the letter count's parity.
+        return Verdict(NOT_EQUIVALENT, reason="letter-count parities differ")
     c1, c2 = canonical_form(phrase1), canonical_form(phrase2)
     if c1 == c2:
         return Verdict(EQUIVALENT, path=(), explored=1, reason="isomorphic")
@@ -440,6 +454,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         raise ValueError("neighbor cache was built for a different move system")
     visited = ({c1: (None, None)}, {c2: (None, None)})
     frontiers = [[c1], [c2]]
+    cut = [False, False]
     explored = 2
     meet = None
 
@@ -448,6 +463,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         here, there = visited[side], visited[1 - side]
         fresh = []
         for form in frontiers[side]:
+            cut[side] = cut[side] or _budget_cut(form, moves, max_letters)
             for site, child in cache.within(form, max_letters):
                 if child in here:
                     continue
@@ -467,9 +483,13 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         frontiers[side] = fresh
     else:
         closed = 1 if frontiers[0] else 0
+        if cut[closed]:
+            return Verdict(UNKNOWN, explored=explored, reason=(
+                f"reachable set of side {closed + 1} closed only because the "
+                f"letter budget {max_letters} cut moves"))
         return Verdict(
             NOT_EQUIVALENT, explored=explored,
-            reason=f"reachable set of side {closed + 1} closed under the budget")
+            reason=f"reachable set of side {closed + 1} closed with no move cut by the budget")
 
     path = _assemble_path(visited, meet, cache, max_letters)
     final = replay_path(c1, path, phrase1.alphabet)

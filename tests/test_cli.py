@@ -282,3 +282,32 @@ class TestCountArguments:
         code, out, err = run(capsys, command, "--builtin", "curves", "--n", "-1")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "--n must not be negative" in err
+
+
+class TestBudgetVerdicts:
+    def test_equiv_closed_by_the_letter_budget_is_unknown(self, capsys, tmp_path):
+        f1 = write(tmp_path, "a.txt", "proj: A=a B=a\nphrase: A B A B\n")
+        f2 = write(tmp_path, "b.txt", "phrase:\n")
+        code, out, _ = run(capsys, "equiv", f1, f2, "--builtin", "diagonal")
+        assert code == 4 and "verdict: Unknown" in out and "letter budget" in out
+        code, out, _ = run(capsys, "equiv", f1, f2, "--builtin", "diagonal",
+                           "--max-letters", "6")
+        assert code == 0 and "verdict: Equivalent" in out
+
+    @pytest.mark.parametrize("builtin,n,classes", [("curves", "2", 5), ("diagonal", "3", 3)])
+    def test_classify_lists_same_key_classes_cut_by_the_budget(self, capsys, builtin, n,
+                                                               classes):
+        code, out, _ = run(capsys, "classify", "--builtin", builtin, "--n", n)
+        lines = out.splitlines()
+        assert code == 0 and "search: complete" in lines
+        assert f"classes: {classes}" in lines
+        assert sum(line.startswith("unknown: ") for line in lines) == 3
+
+    def test_certified_classes_leave_no_unknown_pairs(self, capsys, tmp_path):
+        # Empty Q and R: no move needs room, so every closure is certified
+        # and the five classes that share the empty key are distinct.
+        f = write(tmp_path, "a.txt", "alpha: a\nQ:\nR:\n")
+        code, out, _ = run(capsys, "classify", f, "--n", "2")
+        lines = out.splitlines()
+        assert code == 0 and "classes: 5" in lines and "unknown pairs: none" in lines
+        assert sum(line.startswith("class ") and line.endswith("] ") for line in lines) == 5

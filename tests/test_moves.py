@@ -529,3 +529,33 @@ class TestEquivalent:
         assert reused.is_equivalent
         assert (reused.status, reused.path, reused.explored) == \
             (fresh.status, fresh.path, fresh.explored)
+
+
+class TestBudgetHonestVerdicts:
+    def test_side_closed_by_the_letter_budget_is_unknown(self, diagonal):
+        # At 4 letters the square word's side closes after 56 states, but
+        # only because the budget cut its insertions; at 6 it reduces.
+        alphabet, moves = diagonal.base_alphabet, diagonal.base_moves
+        square = ph(alphabet, "ABAB", {"A": "a", "B": "a"})
+        empty = ph(alphabet, "", {})
+        verdict = equivalent(square, empty, moves, 4, 100_000)
+        assert verdict.status == "unknown" and "letter budget 4" in verdict.reason
+        assert equivalent(square, empty, moves, 6, 100_000).is_equivalent
+
+    def test_side_closed_without_a_cut_is_not_equivalent(self, one_symbol):
+        # With Q and R empty no move needs room, so a closed side certifies.
+        moves = MoveSystem(one_symbol, q=(), r=(), s=[("a", "a", "a")])
+        square = ph(one_symbol, "ABAB", {"A": "a", "B": "a"})
+        nested = ph(one_symbol, "ABBA", {"A": "a", "B": "a"})
+        verdict = equivalent(square, nested, moves, 2, 1000)
+        assert verdict.status == "not_equivalent" and "closed" in verdict.reason
+
+    def test_parity_is_a_certificate_without_q(self, one_symbol):
+        moves = MoveSystem(one_symbol, q=(), r=[("a", "a")], s=[("a", "a", "a")])
+        aa = ph(one_symbol, "AA", {"A": "a"})
+        empty = ph(one_symbol, "", {})
+        verdict = equivalent(aa, empty, moves, max_letters=4, max_states=10_000)
+        assert verdict.status == "not_equivalent" and "parit" in verdict.reason
+        # With Q non-empty parity certifies nothing: AA reduces by M1.
+        assert equivalent(aa, empty, MoveSystem(one_symbol, q=("a",), r=[("a", "a")]),
+                          4, 10_000).is_equivalent
