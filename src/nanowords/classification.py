@@ -17,7 +17,7 @@ from itertools import combinations, groupby
 from .core import Alphabet, ConsistencyError, MoveSystem, canonical_form, enumerate_nanophrases
 from .invariants import invariant_lines
 from .lift import LiftedAlphabet
-from .moves import NeighborCache, _budget_cut
+from .moves import _budget_cut, _expand
 
 
 @dataclass
@@ -59,13 +59,12 @@ def classify(ctx, n_letters, max_letters, max_states):
             continue
         home[seed] = seed
         keys[seed] = key = _set_invariant_key(ctx, seed)
-        cache = NeighborCache(ctx.moves)
         queue = deque([seed])
         cut = False
         while queue and not truncated:
             form = queue.popleft()
             cut = cut or _budget_cut(form, ctx.moves, max_letters)
-            for _site, child in cache.within(form, max_letters):
+            for _site, child in _expand(form, ctx.moves, max_letters):
                 owner = home.get(child)
                 if owner is None:
                     if _set_invariant_key(ctx, child) != key:

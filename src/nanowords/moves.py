@@ -271,8 +271,16 @@ def _delete(phrase, positions, letters):
     return Nanophrase(phrase.alphabet, comps, proj, validate=False)
 
 
+def _expand(form, moves, max_letters, kinds=ALL_KINDS):
+    """The (site, child) pairs of find_move_sites(form, moves, kinds, max_letters).
+
+    Each child is built only when it is read, in site order.
+    """
+    return _form_children(form, find_move_sites(form, moves, kinds, max_letters))
+
+
 def _form_children(form, sites):
-    """The child of a canonical form at each site, built on its packed key.
+    """Yield (site, child) for each site of a canonical form, built on its packed key.
 
     Gives the same forms as canonical_form(apply_move(phrase, site)) on
     form.to_phrase(...), without materializing a Nanophrase.  The sites
@@ -287,12 +295,11 @@ def _form_children(form, sites):
     starts = [0] + [i + 1 for i, ch in enumerate(packed) if ch == "\0"]
     prefix_max = list(accumulate(map(ord, packed), max, initial=0))
     make = CanonicalForm.from_packed
-    children = []
     last_gaps = None
     for site in sites:
         gaps = site.gaps
         if not gaps:
-            children.append((site, _relabel_matched(packed, proj_seq, site)))
+            yield site, _relabel_matched(packed, proj_seq, site)
             continue
         if gaps != last_gaps:
             # Sites of one gap (or gap pair) differ only in their symbols,
@@ -315,8 +322,7 @@ def _form_children(form, sites):
                 partner = chr(t + 1)
                 key = (shifted[:g] + new + partner + shifted[g:g2]
                        + partner + new + shifted[g2:])
-        children.append((site, make(key, head + site.symbols + tail)))
-    return tuple(children)
+        yield site, make(key, head + site.symbols + tail)
 
 
 @lru_cache(maxsize=128)
@@ -386,14 +392,13 @@ def replay_path(start, path, alphabet):
 
 
 class NeighborCache:
-    """Memoized neighbor expansion for one move system.
+    """Memoized neighbor expansion for callers that share it across searches.
 
     Neighbors are cached per (form, slack), where slack = min(2,
     max_letters - n) is how many letters an insertion may add, so only
     children inside the budget are built and one cache stays correct
-    across searches with different budgets.  Sites are found on the form
-    itself, and children come from the packed-key kernel _form_children,
-    not from apply_move.
+    across searches with different budgets.  Each list is _expand's,
+    stored whole.
     """
 
     def __init__(self, moves):
@@ -403,8 +408,7 @@ class NeighborCache:
     def raw(self, form, slack):
         got = self._table.get((form, slack))
         if got is None:
-            got = _form_children(form, find_move_sites(
-                form, self.moves, ALL_KINDS, form.n_letters + slack))
+            got = tuple(_expand(form, self.moves, form.n_letters + slack))
             self._table[form, slack] = got
         return got
 
@@ -435,6 +439,9 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     counts, or with Q empty the letter-count parities, differ), or
     UNKNOWN when max_states was hit first or the budget cut the closed
     set.
+
+    Without neighbor_cache, children are built lazily and kept nowhere;
+    callers running several searches may share one (same verdicts).
     """
     if phrase1.alphabet != phrase2.alphabet or moves.alphabet != phrase1.alphabet:
         raise AlphabetMismatch("equivalence needs a single shared alphabet")
@@ -449,8 +456,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     if c1 == c2:
         return Verdict(EQUIVALENT, path=(), explored=1, reason="isomorphic")
 
-    cache = neighbor_cache if neighbor_cache is not None else NeighborCache(moves)
-    if cache.moves != moves:
+    if neighbor_cache is not None and neighbor_cache.moves != moves:
         raise ValueError("neighbor cache was built for a different move system")
     visited = ({c1: (None, None)}, {c2: (None, None)})
     frontiers = [[c1], [c2]]
@@ -464,7 +470,9 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         fresh = []
         for form in frontiers[side]:
             cut[side] = cut[side] or _budget_cut(form, moves, max_letters)
-            for site, child in cache.within(form, max_letters):
+            children = (_expand(form, moves, max_letters) if neighbor_cache is None
+                        else neighbor_cache.within(form, max_letters))
+            for site, child in children:
                 if child in here:
                     continue
                 here[child] = (form, site)
@@ -491,7 +499,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
             NOT_EQUIVALENT, explored=explored,
             reason=f"reachable set of side {closed + 1} closed with no move cut by the budget")
 
-    path = _assemble_path(visited, meet, cache, max_letters)
+    path = _assemble_path(visited, meet, moves, max_letters)
     final = replay_path(c1, path, phrase1.alphabet)
     if final != c2:
         raise ConsistencyError("assembled path does not end at the target")
@@ -512,12 +520,21 @@ def _chain(visited_map, form):
     return steps
 
 
-def _assemble_path(visited, meet, cache, max_letters):
+# The kinds of a step that changes the letter count by the key: only
+# they can undo a recorded edge of the opposite change.
+_KINDS_BY_DELTA = {-2: ("M2",), -1: ("M1",), 0: ("M3", "M3inv"),
+                   1: ("M1ins",), 2: ("M2ins",)}
+
+
+def _assemble_path(visited, meet, moves, max_letters):
     steps = list(_chain(visited[0], meet))
     for parent, _site, child in reversed(_chain(visited[1], meet)):
         # The recorded edge runs parent -> child; walking meet -> start
-        # of side 2 needs child -> parent, found by scanning neighbors.
-        for site, result in cache.within(child, max_letters):
+        # of side 2 needs child -> parent.  find_move_sites keeps each
+        # kind's order, so scanning only the kinds that restore parent's
+        # letter count meets the same first site as a scan of all kinds.
+        kinds = _KINDS_BY_DELTA[parent.n_letters - child.n_letters]
+        for site, result in _expand(child, moves, max_letters, kinds):
             if result == parent:
                 steps.append((child, site, parent))
                 break

@@ -174,8 +174,8 @@ class TestCanonicalFormContract:
         moves = curves.base_moves
         parent = canonical_form(ph(curves.base_alphabet, "ABACBC|DEED",
                                    {"A": "a", "B": "a", "C": "a", "D": "a", "E": "b"}))
-        children = _form_children(parent, find_move_sites(
-            parent, moves, ALL_KINDS, parent.n_letters + 2))
+        children = tuple(_form_children(parent, find_move_sites(
+            parent, moves, ALL_KINDS, parent.n_letters + 2)))
         assert {site.kind for site, _child in children} == set(ALL_KINDS) - {"M3inv"}
         phrase = parent.to_phrase(curves.base_alphabet)
         for site, child in children:

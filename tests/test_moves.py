@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,9 @@ from nanowords import (
     find_move_sites,
     replay_path,
 )
-from nanowords.moves import _form_children
+import nanowords.moves
+from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _chain, _expand, \
+    _form_children
 from conftest import ph
 
 
@@ -201,7 +204,8 @@ def _check_cache_against_reference(moves, forms):
     # Reference: build every child up to n+2 letters with apply_move and
     # canonical_form, then drop those over the budget.  One cache serves
     # every form and budget, walked in ascending and descending budget
-    # order alternately.
+    # order alternately.  The lazy expansion a one-shot search reads must
+    # yield the same sequence at every budget that covers the form.
     alphabet = moves.alphabet
     cache = NeighborCache(moves)
     for i, form in enumerate(forms):
@@ -216,6 +220,12 @@ def _check_cache_against_reference(moves, forms):
             expected = [(s, c) for s, c in every if c.n_letters <= max_letters]
             assert list(cache.within(form, max_letters)) == expected, \
                 (form, max_letters)
+        for max_letters in budgets:
+            if max_letters >= form.n_letters:
+                lazy = _expand(form, moves, max_letters)
+                assert iter(lazy) is lazy, "children must be built lazily"
+                assert list(lazy) == [(s, c) for s, c in every
+                                      if c.n_letters <= max_letters], (form, max_letters)
 
 
 def _assert_form_sites_match(moves, form, max_letters):
@@ -559,3 +569,99 @@ class TestBudgetHonestVerdicts:
         # With Q non-empty parity certifies nothing: AA reduces by M1.
         assert equivalent(aa, empty, MoveSystem(one_symbol, q=("a",), r=[("a", "a")]),
                           4, 10_000).is_equivalent
+
+
+def _walk_pairs(name, k, n, count):
+    # Seeded search inputs: an n-letter form and a 4-move walk from it,
+    # kept inside n + 2 letters.
+    data = builtin_data(name)
+    moves, max_letters = data.base_moves, n + 2
+    rng = random.Random(f"walk-pairs:{name}:{k}:{n}")
+    sources = _forms(data.base_alphabet, k, [n])
+    pairs = []
+    for _ in range(count):
+        start = phrase = rng.choice(sources).to_phrase(moves.alphabet)
+        for _ in range(4):
+            phrase = apply_move(phrase, rng.choice(
+                find_move_sites(phrase, moves, ALL_KINDS, max_letters)))
+        pairs.append((start, phrase, moves, max_letters))
+    return pairs
+
+
+WALK_SETS = [("curves", 1, 3), ("curves", 2, 2), ("diagonal", 1, 3),
+             ("diagonal", 2, 2), ("links", 1, 3), ("links", 2, 2)]
+
+
+def _closure_pairs(curves):
+    # With Q and R empty no move needs room, so closed sides certify
+    # NotEquivalent; pairs of three-letter curves forms mostly close.
+    moves = MoveSystem(curves.base_alphabet, q=(), r=(), s=curves.base_moves.s)
+    forms = _forms(curves.base_alphabet, 1, [3], sample=8)
+    return [(a.to_phrase(moves.alphabet), b.to_phrase(moves.alphabet), moves, 3)
+            for a, b in zip(forms, forms[1:])]
+
+
+def _reduction_pairs(diagonal):
+    # The criterion-5 reductions both ways round (side 2 then needs M3 as
+    # well as M3inv), and the square word at a budget that cuts its
+    # closure (Unknown).
+    alpha, moves = diagonal.base_alphabet, diagonal.base_moves
+
+    def word(letters):
+        return ph(alpha, letters, dict.fromkeys(letters, "a"))
+
+    shapes = [("ABCABC", "BAACCB", 7), ("ABCACB", "BAACBC", 7), ("ABACCB", "BACABC", 7),
+              ("ABAB", "", 8)]
+    pairs = [(word(a), word(b), moves, budget) for left, right, budget in shapes
+             for a, b in ((left, right), (right, left))]
+    return pairs + [(word("ABAB"), word(""), moves, 4)]
+
+
+def _search_inputs(curves, diagonal):
+    # (phrase1, phrase2, moves, max_letters, max_states); the small state
+    # budget turns part of the walks into Unknown verdicts.
+    inputs = [(*pair, states) for name, k, n in WALK_SETS
+              for pair in _walk_pairs(name, k, n, 10) for states in (40, 500_000)]
+    inputs += [(*pair, 500_000) for pair in _closure_pairs(curves) + _reduction_pairs(diagonal)]
+    return inputs
+
+
+def test_lazy_search_matches_the_retaining_search(curves, diagonal):
+    statuses = Counter()
+    for p1, p2, moves, max_letters, max_states in _search_inputs(curves, diagonal):
+        lazy = equivalent(p1, p2, moves, max_letters, max_states)
+        kept = equivalent(p1, p2, moves, max_letters, max_states,
+                          neighbor_cache=NeighborCache(moves))
+        assert lazy == kept, (p1, p2, max_letters, max_states)
+        statuses[lazy.status] += 1
+    assert statuses[EQUIVALENT] and statuses[NOT_EQUIVALENT] and statuses[UNKNOWN], statuses
+
+
+def _full_scan_assembly(visited, meet, moves, max_letters):
+    # The earlier path assembly, kept as the reference: each side-2 step
+    # back to its parent is the first of all the child's neighbours that
+    # is the parent.
+    cache = NeighborCache(moves)
+    steps = _chain(visited[0], meet)
+    for parent, _site, child in reversed(_chain(visited[1], meet)):
+        site = next(s for s, result in cache.within(child, max_letters) if result == parent)
+        steps.append((child, site, parent))
+    return tuple(PathStep(site, child) for _parent, site, child in steps)
+
+
+def test_inverse_kind_assembly_matches_the_full_scan(monkeypatch, curves, diagonal):
+    assemble = nanowords.moves._assemble_path
+    side2_kinds = Counter()
+
+    def checked(visited, meet, moves, max_letters):
+        path = assemble(visited, meet, moves, max_letters)
+        assert path == _full_scan_assembly(visited, meet, moves, max_letters)
+        side2 = len(_chain(visited[1], meet))
+        side2_kinds.update(step.site.kind for step in path[len(path) - side2:])
+        return path
+
+    monkeypatch.setattr(nanowords.moves, "_assemble_path", checked)
+    for p1, p2, moves, max_letters, max_states in _search_inputs(curves, diagonal):
+        equivalent(p1, p2, moves, max_letters, max_states)
+    # Every letter-count change, and both transposition kinds, occur.
+    assert set(side2_kinds) == set(ALL_KINDS), side2_kinds
