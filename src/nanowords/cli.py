@@ -85,7 +85,7 @@ def _system(args, record):
         raise NanowordError("input needs an 'alpha:' line or --builtin")
     base = Alphabet(record.alpha, record.tau)
     q = record.q if record.q is not None else base.symbols
-    r = record.r if record.r is not None else [(x, base.tau(x)) for x in base.symbols]
+    r = record.r if record.r is not None else base.tau_graph
     s = record.s if record.s is not None else diagonal_triples(base)
     base_moves = MoveSystem(base, q, r, s)
 

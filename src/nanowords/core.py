@@ -52,10 +52,11 @@ class Alphabet:
     representative.  The representative of a free orbit is its
     lexicographically smaller member.  Orbit indices are 1-based:
     1..n_free are free, n_free+1..n_free+n_fixed are fixed points.
+    `tau_graph` is the graph {(s, tau(s))}, the classical R.
     """
 
     __slots__ = ("symbols", "orbits", "representatives", "n_free", "n_fixed",
-                 "_tau", "_orbit_index", "_key", "_hash")
+                 "tau_graph", "_tau", "_orbit_index", "_key", "_hash")
 
     def __init__(self, symbols, tau=None):
         symbols = tuple(symbols)
@@ -75,6 +76,7 @@ class Alphabet:
                 raise NanowordError(f"tau is not an involution at {s!r}")
         self.symbols = symbols
         self._tau = full
+        self.tau_graph = frozenset(full.items())
 
         free, fixed, seen = [], [], set()
         for s in sorted(symbols):
@@ -101,7 +103,7 @@ class Alphabet:
 
     def tau_pairs(self):
         """Free orbits as (representative, partner) pairs, canonical order."""
-        return tuple(o for o in self.orbits if len(o) == 2)
+        return self.orbits[:self.n_free]
 
     def orbit_index(self, symbol):
         """1-based canonical orbit index of a symbol."""
@@ -152,8 +154,7 @@ class MoveSystem:
         unknown = {x for x in referenced if x not in alphabet}
         if unknown:
             raise UnknownSymbol(unknown, where="move system")
-        graph = frozenset((x, alphabet.tau(x)) for x in alphabet.symbols)
-        self.r_is_graph_of_tau = self.r == graph
+        self.r_is_graph_of_tau = self.r == alphabet.tau_graph
 
     @property
     def s_is_sub_diagonal(self):
@@ -162,8 +163,7 @@ class MoveSystem:
     @classmethod
     def standard(cls, alphabet, s):
         """Q = whole alphabet, R = graph of tau, with the given S."""
-        graph = [(x, alphabet.tau(x)) for x in alphabet.symbols]
-        return cls(alphabet, q=alphabet.symbols, r=graph, s=s)
+        return cls(alphabet, q=alphabet.symbols, r=alphabet.tau_graph, s=s)
 
     def __eq__(self, other):
         return (isinstance(other, MoveSystem)
@@ -346,15 +346,10 @@ _set_proj_seq = CanonicalForm.proj_seq.__set__
 _set_hash = CanonicalForm._hash.__set__
 
 
-def rank_letter(rank):
-    """Canonical letter name for a 1-based first-occurrence rank."""
-    return chr(64 + rank) if rank <= 26 else f"L{rank}"
-
-
 @lru_cache(maxsize=64)
 def rank_letters(n):
-    """The canonical letter names of ranks 1..n, as a tuple."""
-    return tuple(rank_letter(r) for r in range(1, n + 1))
+    """The canonical letter names of first-occurrence ranks 1..n: A..Z, then L27, ..."""
+    return tuple(chr(64 + r) if r <= 26 else f"L{r}" for r in range(1, n + 1))
 
 
 def canonical_form(phrase):
@@ -423,7 +418,7 @@ def enumerate_nanophrases(alphabet, n_letters, k):
         raise ValueError("n_letters must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    names = [rank_letter(r) for r in range(1, n_letters + 1)]
+    names = rank_letters(n_letters)
     for pattern in _double_occurrence_patterns(n_letters):
         flat = tuple(names[r - 1] for r in pattern)
         for sizes in _compositions(2 * n_letters, k):

@@ -313,17 +313,21 @@ def so_phrase(phrase, moves):
                    _profile_vectors(phrase, parts))
 
 
+def _collapse(n_free, weighted):
+    """One T block: the sum of weight * vector over (vector, weight), slots collapsed."""
+    raw = defaultdict(int)
+    for vec, weight in weighted:
+        for (_j, p, q), coeff in vec.entries:
+            raw[(1, p, q)] += weight * coeff
+    return SigmaVector.build(n_free, 1, raw)
+
+
 def _t(alphabet, k, letters, parts, profiles):
     """Per component, the epsilon-weighted collapsed profiles of its diagonal letters."""
-    blocks = []
-    for comp_members in _diagonal_members(k, letters, parts):
-        raw = defaultdict(int)
-        for ltr, symbol in comp_members:
-            eps = alphabet.epsilon(symbol)
-            for (_j, p, q), coeff in profiles[ltr].entries:
-                raw[(1, p, q)] += eps * coeff
-        blocks.append(SigmaVector.build(alphabet.n_free, 1, raw))
-    return tuple(blocks)
+    return tuple(
+        _collapse(alphabet.n_free, ((profiles[ltr], alphabet.epsilon(symbol))
+                                    for ltr, symbol in comp_members))
+        for comp_members in _diagonal_members(k, letters, parts))
 
 
 def t_invariant(phrase, moves):
@@ -345,14 +349,7 @@ def t_from_so(so_value, n_free):
     component slots.  Matches t_invariant whenever every letter profile
     is of type (i) or (ii).
     """
-    blocks = []
-    for comp_map in so_value.maps:
-        raw = defaultdict(int)
-        for vec, count in comp_map:
-            for (_j, p, q), coeff in vec.entries:
-                raw[(1, p, q)] += count * coeff
-        blocks.append(SigmaVector.build(n_free, 1, raw))
-    return tuple(blocks)
+    return tuple(_collapse(n_free, comp_map) for comp_map in so_value.maps)
 
 
 def _lk(alphabet, k, parts):

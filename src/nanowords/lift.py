@@ -93,9 +93,6 @@ class LiftedAlphabet:
     def q_symbols(self):
         return frozenset(name for name, (s, i, j) in self._parts.items() if i == j)
 
-    def r_pairs(self):
-        return frozenset((name, self.alphabet.tau(name)) for name in self._parts)
-
     def lift_triples(self, triples):
         """Chained-subscript lift of a base triple set."""
         out = set()
@@ -110,7 +107,7 @@ class LiftedAlphabet:
 
     def diagonal_triples(self):
         """Lift of the base diagonal: {(a_ij, a_il, a_jl)}."""
-        return self.lift_triples({(s, s, s) for s in self.base.symbols})
+        return self.lift_triples(diagonal_triples(self.base))
 
     def __eq__(self, other):
         return (isinstance(other, LiftedAlphabet)
@@ -126,7 +123,7 @@ class LiftedAlphabet:
 def lift_alphabet(base, s_triples, k):
     """The lifted alphabet and its derived move system (Q, R, S lifts)."""
     lifted = LiftedAlphabet(base, k)
-    moves = MoveSystem(lifted.alphabet, q=lifted.q_symbols(), r=lifted.r_pairs(),
+    moves = MoveSystem(lifted.alphabet, q=lifted.q_symbols(), r=lifted.alphabet.tau_graph,
                        s=lifted.lift_triples(s_triples))
     return lifted, moves
 
@@ -270,14 +267,12 @@ def builtin_data(name, k=1):
     base_moves = MoveSystem.standard(base, triples)
     lifted, lifted_moves = lift_alphabet(base, triples, k)
     if name == "ornaments":
-        # Chained triples whose three subscript indices are all distinct.
-        excluded = {
-            (f"{s}_{i}_{j}", f"{s}_{i}_{l}", f"{s}_{j}_{l}")
-            for s in base.symbols
-            for i in range(1, k + 1)
-            for j in range(i + 1, k + 1)
-            for l in range(j + 1, k + 1)
-        }
-        lifted_moves = MoveSystem(lifted.alphabet, q=lifted_moves.q,
-                                  r=lifted_moves.r, s=lifted_moves.s - excluded)
+        # Chained triples (x_i_j, y_i_l, z_j_l) whose indices i < j < l
+        # are all distinct are dropped.
+        kept = []
+        for triple in lifted_moves.s:
+            (_x, i, j), (_y, _i, l) = lifted.part(triple[0]), lifted.part(triple[1])
+            if not i < j < l:
+                kept.append(triple)
+        lifted_moves = MoveSystem(lifted.alphabet, q=lifted_moves.q, r=lifted_moves.r, s=kept)
     return BuiltinData(name, base, base_moves, lifted, lifted_moves)

@@ -62,7 +62,7 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
 
     phrase is a Nanophrase or a CanonicalForm.  A form carries no
     alphabet and is read over moves.alphabet as form.to_phrase would
-    build it, so its sites name letters by rank_letter and replay on
+    build it, so its sites name letters by rank_letters and replay on
     that phrase.
 
     Sites come out grouped by kind in ALL_KINDS order; within a kind they
@@ -169,8 +169,10 @@ _shared_insertion_sites = lru_cache(maxsize=32)(_insertion_sites)
 def _check_match(phrase, site, expected):
     pos = site.positions
     flat, comp_of = phrase.flat, phrase.comp_of
-    if len(pos) != len(expected) or not pos or pos[-1] >= len(flat):
+    if len(pos) != len(expected) or not pos or pos[0] < 0 or pos[-1] >= len(flat):
         raise StaleSite(f"{site.kind} site out of range")
+    if any(a >= b for a, b in zip(pos, pos[1:])):
+        raise StaleSite(f"{site.kind} site positions are not increasing")
     for t in range(0, len(pos), 2):
         if pos[t + 1] != pos[t] + 1 or comp_of[pos[t]] != comp_of[pos[t + 1]]:
             raise StaleSite(f"{site.kind} site pairs are no longer adjacent")
@@ -398,7 +400,8 @@ class NeighborCache:
     max_letters - n) is how many letters an insertion may add, so only
     children inside the budget are built and one cache stays correct
     across searches with different budgets.  Each list is _expand's,
-    stored whole.
+    stored whole.  A budget below the form's letter count is rejected
+    with ValueError, as `equivalent` and `classify` reject it.
     """
 
     def __init__(self, moves):
@@ -413,12 +416,9 @@ class NeighborCache:
         return got
 
     def within(self, form, max_letters):
-        slack = min(2, max_letters - form.n_letters)
-        if slack >= 0:
-            return self.raw(form, slack)
-        # Over the budget: keep only the deletions that get back under it.
-        return tuple((site, child) for site, child in self.raw(form, 0)
-                     if child.n_letters <= max_letters)
+        if max_letters < form.n_letters:
+            raise ValueError("max_letters must cover the form")
+        return self.raw(form, min(2, max_letters - form.n_letters))
 
 
 def _budget_cut(form, moves, max_letters):

@@ -1,23 +1,28 @@
+import argparse
 import itertools
 import random
 
 import pytest
 
 from nanowords import (
+    BUILTIN_NAMES,
     Alphabet,
     ConditionViolation,
     ConditionsViolated,
     LiftedAlphabet,
+    MoveSystem,
     Nanophrase,
     UnknownName,
     builtin_data,
     canonical_form,
     check_conditions,
+    diagonal_triples,
     enumerate_nanophrases,
     lift_alphabet,
     phi,
     psi,
 )
+from nanowords.cli import load_word_context
 from conftest import ph
 
 
@@ -296,3 +301,42 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             builtin_data("knots")
+
+
+def _assert_r_is_the_tau_graph(base, base_moves, lifted, lifted_moves):
+    # One graph {(s, tau(s))} per alphabet.  The standard base R and the
+    # lifted R are that graph; the lifted tau moves only the base part.
+    for alphabet in (base, lifted.alphabet):
+        assert alphabet.tau_graph == {(s, alphabet.tau(s)) for s in alphabet.symbols}
+    assert base_moves.r == base.tau_graph and base_moves.r_is_graph_of_tau
+    assert MoveSystem.standard(base, base_moves.s).r == base.tau_graph
+    assert lifted_moves.r == {
+        (lifted.symbol(s, i, j), lifted.symbol(base.tau(s), i, j))
+        for s, i, j in map(lifted.part, lifted.alphabet.symbols)}
+    assert lifted_moves.r_is_graph_of_tau
+    assert lift_alphabet(base, base_moves.s, lifted.k)[1].r == lifted_moves.r
+    partial = MoveSystem(base, r=sorted(base.tau_graph)[1:])
+    assert not partial.r_is_graph_of_tau
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_builtin_r_is_the_tau_graph(name, k):
+    data = builtin_data(name, k)
+    _assert_r_is_the_tau_graph(data.base_alphabet, data.base_moves, data.lifted,
+                               data.lifted_moves)
+
+
+@pytest.mark.parametrize("k,proj", [(1, "A=a B=c"), (2, "A=a_1_2 B=c_2_2")])
+def test_record_r_is_the_tau_graph(tmp_path, k, proj):
+    path = tmp_path / "p.txt"
+    path.write_text(f"alpha: a b c\ntau: a=b\nproj: {proj}\nphrase: A B A B\n")
+    ctx = load_word_context(argparse.Namespace(builtin=None, k=k), str(path))
+    assert ctx.base.tau_graph == {("a", "b"), ("b", "a"), ("c", "c")}
+    base_moves = MoveSystem.standard(ctx.base, diagonal_triples(ctx.base))
+    if ctx.is_lifted:
+        lifted, lifted_moves = ctx.lifted, ctx.moves
+    else:
+        assert ctx.moves == base_moves
+        lifted, lifted_moves = lift_alphabet(ctx.base, base_moves.s, 2)
+    _assert_r_is_the_tau_graph(ctx.base, base_moves, lifted, lifted_moves)

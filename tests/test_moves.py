@@ -137,6 +137,26 @@ class TestApply:
         with pytest.raises(StaleSite):
             apply_move(other, site)
 
+    def test_forged_site_with_negative_position_rejected(self, one_symbol):
+        # Read with negative indexing, (-1, 0) is the doubled A of the
+        # cyclic word, and deleting it would leave B B.
+        p = ph(one_symbol, "ABBA", {"A": "a", "B": "a"})
+        with pytest.raises(StaleSite):
+            apply_move(p, MoveSite("M1", (-1, 0), ("A",)))
+
+    def test_forged_site_with_pairs_out_of_order_rejected(self, diagonal):
+        # A B A C C B has no M3 or M3inv site, but its pairs (2,3), (0,1),
+        # (4,5) read A C A B C B, the letters of an M3 on (A, C, B).
+        moves = diagonal.base_moves
+        p = ph(moves.alphabet, "ABACCB", dict.fromkeys("ABC", "a"))
+        assert _sites(p, moves, kinds=("M3", "M3inv")) == []
+        forged = MoveSite("M3", (2, 3, 0, 1, 4, 5), ("A", "C", "B"))
+        with pytest.raises(StaleSite):
+            apply_move(p, forged)
+        step = PathStep(forged, CanonicalForm(((1, 2, 3, 2, 1, 3),), ("a",) * 3))
+        with pytest.raises(StaleSite):
+            replay_path(canonical_form(p), (step,), moves.alphabet)
+
     def test_letter_count_law(self, ab_alphabet):
         moves = MoveSystem.standard(ab_alphabet, [("a", "a", "a"), ("b", "b", "b")])
         deltas = {"M1": -1, "M2": -2, "M3": 0, "M3inv": 0, "M1ins": 1, "M2ins": 2}
@@ -203,9 +223,9 @@ def test_neighbor_cache_matches_reference_on_lifted_ornaments():
 def _check_cache_against_reference(moves, forms):
     # Reference: build every child up to n+2 letters with apply_move and
     # canonical_form, then drop those over the budget.  One cache serves
-    # every form and budget, walked in ascending and descending budget
-    # order alternately.  The lazy expansion a one-shot search reads must
-    # yield the same sequence at every budget that covers the form.
+    # every form and every budget that covers it, walked in ascending and
+    # descending budget order alternately.  The lazy expansion a one-shot
+    # search reads must yield the same sequence at each of those budgets.
     alphabet = moves.alphabet
     cache = NeighborCache(moves)
     for i, form in enumerate(forms):
@@ -213,7 +233,7 @@ def _check_cache_against_reference(moves, forms):
         every = [(s, canonical_form(apply_move(phrase, s)))
                  for s in find_move_sites(phrase, moves, ALL_KINDS,
                                           phrase.n_letters + 2)]
-        budgets = list(range(max(form.n_letters - 2, 0), form.n_letters + 4))
+        budgets = list(range(form.n_letters, form.n_letters + 4))
         if i % 2:
             budgets.reverse()
         for max_letters in budgets + budgets[::-1]:
@@ -221,11 +241,18 @@ def _check_cache_against_reference(moves, forms):
             assert list(cache.within(form, max_letters)) == expected, \
                 (form, max_letters)
         for max_letters in budgets:
-            if max_letters >= form.n_letters:
-                lazy = _expand(form, moves, max_letters)
-                assert iter(lazy) is lazy, "children must be built lazily"
-                assert list(lazy) == [(s, c) for s, c in every
-                                      if c.n_letters <= max_letters], (form, max_letters)
+            lazy = _expand(form, moves, max_letters)
+            assert iter(lazy) is lazy, "children must be built lazily"
+            assert list(lazy) == [(s, c) for s, c in every
+                                  if c.n_letters <= max_letters], (form, max_letters)
+
+
+def test_neighbor_cache_rejects_a_budget_below_the_form(curves):
+    cache = NeighborCache(curves.base_moves)
+    form = canonical_form(ph(curves.base_alphabet, "ABAB", {"A": "a", "B": "b"}))
+    with pytest.raises(ValueError):
+        cache.within(form, form.n_letters - 1)
+    assert cache.within(form, form.n_letters) == cache.raw(form, 0)
 
 
 def _assert_form_sites_match(moves, form, max_letters):
