@@ -5,7 +5,7 @@ enumerate, classify.  Inputs use the record format of textio; the
 working system comes either from the record's own alphabet sections or
 from --builtin {curves|links|ornaments|diagonal}.  A word whose
 projections carry subscripts (or --k > 1, or the ornaments builtin)
-selects the lifted level.
+selects the lifted level.  `equiv` renders one moves.decide verdict.
 
 Exit codes: 0 success, 2 input error, 3 internal inconsistency,
 4 verdict required but only a budget-limited Unknown was available.
@@ -39,13 +39,16 @@ from .lift import (
     phi,
     psi,
 )
-from .moves import equivalent, replay_path
+from .moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, decide
 from .textio import ParseError, parse_record, render_alphabet_lines, render_record
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_UNKNOWN = 4
+
+_VERDICT_RENDER = {EQUIVALENT: ("Equivalent", EXIT_OK), UNKNOWN: ("Unknown", EXIT_UNKNOWN),
+                   NOT_EQUIVALENT: ("NotEquivalent", EXIT_OK)}
 
 
 @dataclass
@@ -178,41 +181,17 @@ def cmd_equiv(args):
         raise NanowordError(f"--max-letters must be at least {needed}")
     if max_states < 1:
         raise NanowordError("--max-states must be positive")
-    # The invariant rows are the certificate, so they come before the search.
-    keys1 = invariant_lines(p1, ctx1.moves, ctx1.lifted)
-    keys2 = invariant_lines(p2, ctx2.moves, ctx2.lifted)
-    separator = next((n1 for (n1, v1), (_n2, v2) in zip(keys1, keys2) if v1 != v2), None)
-    verdict = equivalent(p1, p2, ctx1.moves, max_letters, max_states)
-
-    rows = [("inputs", f"{canonical_form(p1)}  vs  {canonical_form(p2)}"),
-            ("states", verdict.explored)]
-    if verdict.is_equivalent:
-        if separator is not None:
-            raise ConsistencyError(
-                f"search found an equivalence but invariant {separator} differs")
-        final = replay_path(canonical_form(p1), verdict.path, p1.alphabet)
-        if final != canonical_form(p2):
-            raise ConsistencyError("replayed path does not reach the target")
-        rows.insert(0, ("verdict", "Equivalent"))
-        rows.append(("steps", len(verdict.path)))
-        _emit(args, rows)
-        for index, step in enumerate(verdict.path, start=1):
-            print(step.describe(index))
-        return EXIT_OK
-    if verdict.status == "not_equivalent" or separator is not None:
-        reason = verdict.reason
-        if verdict.status != "not_equivalent":
-            reason = f"invariant {separator} differs; search inconclusive ({reason})"
-        rows.insert(0, ("verdict", "NotEquivalent"))
-        rows.append(("reason", reason))
-        if separator is not None:
-            rows.append(("separated-by", separator))
-        _emit(args, rows)
-        return EXIT_OK
-    rows.insert(0, ("verdict", "Unknown"))
-    rows.append(("reason", verdict.reason))
+    verdict = decide(p1, p2, ctx1.moves, ctx1.lifted, max_letters, max_states)
+    label, code = _VERDICT_RENDER[verdict.status]
+    last = ("reason", verdict.reason) if verdict.path is None else ("steps", len(verdict.path))
+    rows = [("verdict", label), ("inputs", f"{canonical_form(p1)}  vs  {canonical_form(p2)}"),
+            ("states", verdict.explored), last]
+    if verdict.separator is not None:
+        rows.append(("separated-by", verdict.separator))
     _emit(args, rows)
-    return EXIT_UNKNOWN
+    for index, step in enumerate(verdict.path or (), start=1):
+        print(step.describe(index))
+    return code
 
 
 def cmd_lift(args):

@@ -13,7 +13,7 @@ between them; the surrounding context may span components freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -26,6 +26,7 @@ from .core import (
     canonical_form,
     rank_letters,
 )
+from .invariants import invariant_lines
 
 
 class StaleSite(NanowordError):
@@ -87,13 +88,15 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     # partner[p] is the other occurrence of the letter at p; joined[p] says
     # that p and p + 1 are adjacent in one component.  The first pair
     # (i, i + 1) of a matched pattern names its partner pairs, so each kind
-    # has one candidate per adjacent pair, tested in O(1).
-    joined = [a == b for a, b in zip(comp_of, comp_of[1:])] + [False]
-    adj = [p for p, ok in enumerate(joined) if ok]
-    partner, first = [0] * len(flat), {}
-    for p, ltr in enumerate(flat):
-        other = first.setdefault(ltr, p)
-        partner[p], partner[other] = other, p
+    # has one candidate per adjacent pair, tested in O(1).  Only the
+    # matched kinds read them.
+    if not wanted.isdisjoint(MATCH_KINDS):
+        joined = [a == b for a, b in zip(comp_of, comp_of[1:])] + [False]
+        adj = [p for p, ok in enumerate(joined) if ok]
+        partner, first = [0] * len(flat), {}
+        for p, ltr in enumerate(flat):
+            other = first.setdefault(ltr, p)
+            partner[p], partner[other] = other, p
 
     if "M1" in wanted:
         for p in adj:
@@ -180,11 +183,13 @@ def _check_match(phrase, site, expected):
         raise StaleSite(f"{site.kind} letters no longer match the site")
 
 
-def _split_like(phrase, flat):
-    comps, start = [], 0
-    for comp in phrase.components:
-        comps.append(tuple(flat[start:start + len(comp)]))
-        start += len(comp)
+def _regroup(phrase, flat, drop=()):
+    # Split a letter list laid out like phrase.flat into its components,
+    # leaving out the positions in drop.
+    comps = [[] for _ in phrase.components]
+    for p, ltr in enumerate(flat):
+        if p not in drop:
+            comps[phrase.comp_of[p]].append(ltr)
     return comps
 
 
@@ -221,7 +226,7 @@ def apply_move(phrase, site):
         for t in range(0, 6, 2):
             p = site.positions[t]
             flat[p], flat[p + 1] = flat[p + 1], flat[p]
-        return Nanophrase(phrase.alphabet, _split_like(phrase, flat), phrase.proj,
+        return Nanophrase(phrase.alphabet, _regroup(phrase, flat), phrase.proj,
                           validate=False)
     if kind == "M1ins":
         (gap,) = site.gaps
@@ -262,13 +267,7 @@ def _check_insertion(phrase, gaps, symbols):
 
 
 def _delete(phrase, positions, letters):
-    drop = set(positions)
-    flat = [ltr for p, ltr in enumerate(phrase.flat) if p not in drop]
-    comps, start = [], 0
-    for c, comp in enumerate(phrase.components):
-        size = len(comp) - sum(1 for p in drop if phrase.comp_of[p] == c)
-        comps.append(tuple(flat[start:start + size]))
-        start += size
+    comps = _regroup(phrase, phrase.flat, set(positions))
     proj = {ltr: sym for ltr, sym in phrase.proj.items() if ltr not in letters}
     return Nanophrase(phrase.alphabet, comps, proj, validate=False)
 
@@ -371,6 +370,7 @@ class Verdict:
     path: tuple = None
     explored: int = 0
     reason: str = ""
+    separator: str = None  # set by decide: the first invariant row that differs
 
     @property
     def is_equivalent(self):
@@ -505,6 +505,25 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         raise ConsistencyError("assembled path does not end at the target")
     return Verdict(EQUIVALENT, path=path, explored=explored,
                    reason=f"met after exploring {explored} states")
+
+
+def decide(phrase1, phrase2, moves, lifted, max_letters, max_states):
+    """The final Verdict on two phrases: equivalent's, checked by the invariant rows.
+
+    The rows are the certificate, so they come before the search.  When one
+    differs, a found path raises ConsistencyError and an inconclusive search
+    becomes NOT_EQUIVALENT.  `lifted` selects the level as in invariant_lines.
+    """
+    rows = zip(invariant_lines(phrase1, moves, lifted), invariant_lines(phrase2, moves, lifted))
+    separator = next((name for (name, v1), (_name, v2) in rows if v1 != v2), None)
+    verdict = equivalent(phrase1, phrase2, moves, max_letters, max_states)
+    if separator is None:
+        return verdict
+    if verdict.is_equivalent:
+        raise ConsistencyError(f"search found an equivalence but invariant {separator} differs")
+    reason = verdict.reason if verdict.status == NOT_EQUIVALENT else (
+        f"invariant {separator} differs; search inconclusive ({verdict.reason})")
+    return replace(verdict, status=NOT_EQUIVALENT, reason=reason, separator=separator)
 
 
 def _chain(visited_map, form):

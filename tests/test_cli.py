@@ -1,7 +1,10 @@
 import pytest
 
 import nanowords.cli
+import nanowords.moves
+from nanowords import ConsistencyError, Nanophrase, builtin_data, equivalent
 from nanowords.cli import main
+from nanowords.moves import PathStep
 
 
 def run(capsys, *argv):
@@ -145,11 +148,37 @@ class TestEquiv:
         def no_search(*args, **kwargs):
             raise AssertionError("equivalent() was called")
 
-        monkeypatch.setattr(nanowords.cli, "equivalent", no_search)
+        monkeypatch.setattr(nanowords.moves, "equivalent", no_search)
         f1 = write(tmp_path, "a.txt", "proj: A=a_1_2 B=a_1_1\nphrase: A B | B A\n")
         f2 = write(tmp_path, "b.txt", "proj: A=a_1_1\nphrase: A | A\n")
         code, out, err = run(capsys, "equiv", f1, f2, "--builtin", "curves", "--k", "2")
         assert (code, out) == (2, "") and "expected a one-component word" in err
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda path, start: path[:-1], "assembled path does not end at the target"),
+        (lambda path, start: (PathStep(path[0].site, start),) + path[1:], "replay diverged"),
+    ], ids=["truncated", "altered-result"])
+    def test_a_path_failing_its_replay_is_an_internal_inconsistency(
+            self, capsys, tmp_path, monkeypatch, tamper, message):
+        # equivalent replays each path it assembles, the only replay left,
+        # so a corrupted path must stop the library call and the command.
+        assemble = nanowords.moves._assemble_path
+
+        def corrupted(visited, meet, moves, max_letters):
+            start = next(iter(visited[0]))
+            return tamper(assemble(visited, meet, moves, max_letters), start)
+
+        monkeypatch.setattr(nanowords.moves, "_assemble_path", corrupted)
+        curves = builtin_data("curves")
+        doubled = Nanophrase(curves.base_alphabet, [("A", "A")], {"A": "a"})
+        empty = Nanophrase(curves.base_alphabet, [()], {})
+        with pytest.raises(ConsistencyError, match=message):
+            equivalent(doubled, empty, curves.base_moves, 3, 100)
+        f1 = write(tmp_path, "a.txt", "proj: A=a\nphrase: A A\n")
+        f2 = write(tmp_path, "b.txt", "phrase:\n")
+        code, out, err = run(capsys, "equiv", f1, f2, "--builtin", "curves")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal inconsistency") and message in err
 
     def test_alphabet_mismatch(self, capsys, tmp_path):
         f1 = write(tmp_path, "a.txt", "alpha: a\nproj: A=a\nphrase: A A\n")

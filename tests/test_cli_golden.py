@@ -35,6 +35,11 @@ RECORDS = {
     "own.txt": "alpha: x y\ntau: x=y\nproj: A=x B=y\nphrase: A B | B A\n",
     "own_doubled.txt": "alpha: x y\ntau: x=y\nproj: A=x\nphrase: A A\n",
     "own_empty.txt": "alpha: x y\ntau: x=y\nphrase:\n",
+    "relabelled.txt": "proj: X=a Y=a\nphrase: X Y X Y\n",
+    "noq_square.txt": "alpha: a\nQ:\nproj: A=a B=a\nphrase: A B A B\n",
+    "noq_doubled.txt": "alpha: a\nQ:\nproj: A=a\nphrase: A A\n",
+    "rigid_square.txt": "alpha: a\nQ:\nR:\nproj: A=a B=a\nphrase: A B A B\n",
+    "rigid_pair.txt": "alpha: a\nQ:\nR:\nproj: A=a B=a\nphrase: A B B A\n",
 }
 
 COMMANDS = [
@@ -64,6 +69,10 @@ COMMANDS = [
     ["equiv", "square.txt", "empty.txt", "--builtin", "curves", "--max-states", "50"],
     ["equiv", "square.txt", "empty.txt", "--builtin", "diagonal", "--max-letters", "8",
      "--max-states", "40"],
+    ["equiv", "square.txt", "two.txt", "--builtin", "curves"],
+    ["equiv", "square.txt", "relabelled.txt", "--builtin", "curves"],
+    ["equiv", "noq_square.txt", "noq_doubled.txt"],
+    ["equiv", "rigid_square.txt", "rigid_pair.txt"],
 ]
 
 

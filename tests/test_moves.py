@@ -8,6 +8,7 @@ from nanowords import (
     INSERTION_KINDS,
     MATCH_KINDS,
     CanonicalForm,
+    ConsistencyError,
     MoveSite,
     MoveSystem,
     Nanophrase,
@@ -17,12 +18,14 @@ from nanowords import (
     are_isomorphic,
     builtin_data,
     canonical_form,
+    decide,
     enumerate_nanophrases,
     equivalent,
     find_move_sites,
     replay_path,
 )
 import nanowords.moves
+from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _chain, _expand, \
     _form_children
 from conftest import ph
@@ -692,3 +695,65 @@ def test_inverse_kind_assembly_matches_the_full_scan(monkeypatch, curves, diagon
         equivalent(p1, p2, moves, max_letters, max_states)
     # Every letter-count change, and both transposition kinds, occur.
     assert set(side2_kinds) == set(ALL_KINDS), side2_kinds
+
+
+def _verdict_rule(p1, p2, moves, max_letters, max_states):
+    # (status, reason, separator) as the search and the two row lists give
+    # them: the search's verdict, unless a row differs.
+    rows1, rows2 = invariant_lines(p1, moves), invariant_lines(p2, moves)
+    differing = [name for (name, v1), (_name, v2) in zip(rows1, rows2) if v1 != v2]
+    verdict = equivalent(p1, p2, moves, max_letters, max_states)
+    if not differing:
+        return verdict.status, verdict.reason, None
+    assert not verdict.is_equivalent, (p1, p2)
+    if verdict.status == UNKNOWN:
+        return (NOT_EQUIVALENT, f"invariant {differing[0]} differs; search inconclusive "
+                f"({verdict.reason})", differing[0])
+    return NOT_EQUIVALENT, verdict.reason, differing[0]
+
+
+def _separated_inputs(curves):
+    # Consecutive two-letter curves forms, many of them apart in some row,
+    # at a state budget too small to settle them, and a pair whose
+    # component counts differ.
+    alpha, moves = curves.base_alphabet, curves.base_moves
+    forms = _forms(alpha, 1, [2])
+    inputs = [(a.to_phrase(alpha), b.to_phrase(alpha), moves, 4, 40)
+              for a, b in zip(forms, forms[1:])]
+    proj = {"A": "a", "B": "a"}
+    return inputs + [(ph(alpha, "ABAB", proj), ph(alpha, "AB|AB", proj), moves, 4, 40)]
+
+
+def test_decide_applies_the_verdict_rule(curves, diagonal):
+    seen = Counter()
+    for p1, p2, moves, max_letters, max_states in (_search_inputs(curves, diagonal)
+                                                   + _separated_inputs(curves)):
+        verdict = decide(p1, p2, moves, None, max_letters, max_states)
+        expected = _verdict_rule(p1, p2, moves, max_letters, max_states)
+        assert (verdict.status, verdict.reason, verdict.separator) == expected, (p1, p2)
+        seen[verdict.status, verdict.separator is not None,
+             verdict.reason.startswith("invariant ")] += 1
+    # Every status occurs, and a separated NotEquivalent comes both from an
+    # inconclusive search and from the search's own certificate.
+    assert set(seen) == {(EQUIVALENT, False, False), (UNKNOWN, False, False),
+                         (NOT_EQUIVALENT, False, False), (NOT_EQUIVALENT, True, True),
+                         (NOT_EQUIVALENT, True, False)}, seen
+
+
+def test_decide_rejects_a_path_that_an_invariant_contradicts(monkeypatch, diagonal):
+    real = nanowords.moves.invariant_lines
+    calls = []
+
+    def second_side_differs(word, moves, lifted=None):
+        calls.append(word)
+        rows = real(word, moves, lifted)
+        return rows if len(calls) == 1 else [(name, value + "*") for name, value in rows]
+
+    monkeypatch.setattr(nanowords.moves, "invariant_lines", second_side_differs)
+    alpha = diagonal.base_alphabet
+    square = ph(alpha, "ABAB", {"A": "a", "B": "a"})
+    empty = Nanophrase(alpha, [()], {})
+    assert equivalent(square, empty, diagonal.base_moves, 8, 500_000).is_equivalent
+    with pytest.raises(ConsistencyError, match="search found an equivalence but invariant"):
+        decide(square, empty, diagonal.base_moves, None, 8, 500_000)
+    assert len(calls) == 2
