@@ -14,10 +14,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
-from .core import Alphabet, ConsistencyError, MoveSystem, canonical_form, enumerate_nanophrases
+from .core import (Alphabet, CanonicalForm, ConsistencyError, MoveSystem, canonical_form,
+                   enumerate_nanophrases)
 from .invariants import invariant_lines
 from .lift import LiftedAlphabet
 from .moves import _budget_cut, _expand
+
+_form = CanonicalForm.from_key  # closures hold keys; forms leave them
 
 
 @dataclass
@@ -31,8 +34,8 @@ class SetContext:
     lifted: LiftedAlphabet
 
 
-def _set_invariant_key(ctx, form):
-    lines = invariant_lines(form.to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)
+def _set_invariant_key(ctx, key):
+    lines = invariant_lines(_form(key).to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)
     return " ".join(f"{name}={value}" for name, value in lines)
 
 
@@ -50,7 +53,7 @@ def classify(ctx, n_letters, max_letters, max_states):
     if max_letters < n_letters:
         raise ValueError("max_letters must cover the enumeration")
     seeds = list(dict.fromkeys(
-        canonical_form(phrase) for n in range(n_letters + 1)
+        canonical_form(phrase).key for n in range(n_letters + 1)
         for phrase in enumerate_nanophrases(ctx.alphabet, n, ctx.k)))
     home, keys, certified = {}, {}, {}
     truncated = False
@@ -62,15 +65,15 @@ def classify(ctx, n_letters, max_letters, max_states):
         queue = deque([seed])
         cut = False
         while queue and not truncated:
-            form = queue.popleft()
-            cut = cut or _budget_cut(form, ctx.moves, max_letters)
-            for _site, child in _expand(form, ctx.moves, max_letters):
+            state = queue.popleft()
+            cut = cut or _budget_cut(state, ctx.moves, max_letters)
+            for _site, child in _expand(state, ctx.moves, max_letters):
                 owner = home.get(child)
                 if owner is None:
                     if _set_invariant_key(ctx, child) != key:
                         raise ConsistencyError(
                             f"move-connected states disagree on invariants: "
-                            f"{seed.serialize()!r} vs {child.serialize()!r}")
+                            f"{_form(seed).serialize()!r} vs {_form(child).serialize()!r}")
                     home[child] = seed
                     if len(home) > max_states:
                         truncated = True
@@ -78,13 +81,14 @@ def classify(ctx, n_letters, max_letters, max_states):
                     queue.append(child)
                 elif owner is not seed:
                     raise ConsistencyError(
-                        f"the closures of {owner.serialize()!r} and "
-                        f"{seed.serialize()!r} meet at {child.serialize()!r}")
+                        f"the closures of {_form(owner).serialize()!r} and "
+                        f"{_form(seed).serialize()!r} meet at {_form(child).serialize()!r}")
         certified[seed] = not (cut or truncated)
 
+    forms = {seed: _form(seed) for seed in seeds}
     class_of = {}
-    for seed in seeds:
-        class_of.setdefault(home[seed], []).append(seed)
+    for seed, form in forms.items():
+        class_of.setdefault(home[seed], []).append(form)
     classes = []
     for root, members in class_of.items():
         members.sort(key=lambda f: f.serialize())
@@ -93,4 +97,4 @@ def classify(ctx, n_letters, max_letters, max_states):
 
     unknown_pairs = [(a[0], b[0]) for _key, group in groupby(classes, key=lambda c: c[1])
                      for a, b in combinations(group, 2) if not (a[3] or b[3])]
-    return seeds, [c[:3] for c in classes], unknown_pairs, len(home), truncated
+    return list(forms.values()), [c[:3] for c in classes], unknown_pairs, len(home), truncated

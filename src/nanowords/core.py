@@ -11,6 +11,7 @@ first occurrence and comparing the results.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import Counter
 from functools import lru_cache
 
@@ -263,33 +264,36 @@ class CanonicalForm:
     """Letters replaced by 1..n in order of first occurrence.
 
     Two nanophrases over the same alphabet are isomorphic exactly when
-    their canonical forms are equal.  The ranks live in one packed
-    string: rank r is chr(r), and components are joined by chr(0).  The
-    hash is taken once, at construction; `pattern` decodes the ranks
-    into a tuple of int tuples on each access.  Forms are immutable and
-    equal only other forms.
+    their canonical forms are equal.  A form wraps one key str: chr(n),
+    the ranks (rank r is chr(r), components joined by chr(0)), then one
+    process-local code per letter's symbol.  `packed`, `proj_seq` and
+    `pattern` are decoded on each access; pickles carry symbols, never
+    codes.  Forms are immutable and equal only other forms.
     """
 
-    __slots__ = ("packed", "proj_seq", "_hash")
+    __slots__ = ("key",)
 
     def __init__(self, pattern, proj_seq):
         comps = ["".join(map(chr, comp)) for comp in pattern]
         if any("\0" in comp for comp in comps):
             raise ValueError("ranks must be positive")
-        packed = "\0".join(comps)
         proj_seq = tuple(proj_seq)
-        _set_packed(self, packed)
-        _set_proj_seq(self, proj_seq)
-        _set_hash(self, hash((packed, proj_seq)))
+        _set_key(self, chr(len(proj_seq)) + "\0".join(comps) + _encode_symbols(proj_seq))
 
     @classmethod
-    def from_packed(cls, packed, proj_seq):
-        """A form from its packed rank string and projection tuple, unchecked."""
+    def from_key(cls, key):
+        """The form of a search key, unchecked."""
         form = _new_object(cls)
-        _set_packed(form, packed)
-        _set_proj_seq(form, proj_seq)
-        _set_hash(form, hash((packed, proj_seq)))
+        _set_key(form, key)
         return form
+
+    @property
+    def packed(self):
+        return self.key[1:len(self.key) - ord(self.key[0])]
+
+    @property
+    def proj_seq(self):
+        return tuple(map(_symbol_of.__getitem__, self.key[len(self.key) - ord(self.key[0]):]))
 
     @property
     def pattern(self):
@@ -297,7 +301,7 @@ class CanonicalForm:
 
     @property
     def n_letters(self):
-        return len(self.proj_seq)
+        return ord(self.key[0])
 
     @property
     def k(self):
@@ -309,7 +313,7 @@ class CanonicalForm:
 
     def to_phrase(self, alphabet):
         """Materialize the canonical representative over an alphabet."""
-        names = rank_letters(len(self.proj_seq))
+        names = rank_letters(self.n_letters)
         components = tuple(tuple(names[ord(ch) - 1] for ch in comp)
                            for comp in self.packed.split("\0"))
         return Nanophrase(alphabet, components, dict(zip(names, self.proj_seq)),
@@ -327,10 +331,10 @@ class CanonicalForm:
     def __eq__(self, other):
         if other.__class__ is not CanonicalForm:
             return NotImplemented
-        return self.packed == other.packed and self.proj_seq == other.proj_seq
+        return self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
         return f"CanonicalForm(pattern={self.pattern!r}, proj_seq={self.proj_seq!r})"
@@ -339,11 +343,29 @@ class CanonicalForm:
         return self.serialize()
 
 
-# The slot setters bypass __setattr__, which refuses every assignment.
+# The slot setter bypasses __setattr__, which refuses every assignment.
 _new_object = object.__new__
-_set_packed = CanonicalForm.packed.__set__
-_set_proj_seq = CanonicalForm.proj_seq.__set__
-_set_hash = CanonicalForm._hash.__set__
+_set_key = CanonicalForm.key.__set__
+
+# Each symbol gets one key code on its first use in this process, under
+# the lock so that threads meeting a new symbol at once agree on its code.
+_code_of = {}
+_symbol_of = {}
+_register_lock = threading.Lock()
+
+
+def _encode_symbols(symbols):
+    """The codes of a sequence of symbols, one char each."""
+    try:
+        return "".join(map(_code_of.__getitem__, symbols))
+    except KeyError:
+        with _register_lock:
+            for symbol in symbols:
+                if symbol not in _code_of:
+                    code = chr(len(_code_of))
+                    _symbol_of[code] = symbol
+                    _code_of[symbol] = code
+        return "".join(map(_code_of.__getitem__, symbols))
 
 
 @lru_cache(maxsize=64)
@@ -356,8 +378,8 @@ def canonical_form(phrase):
     """Relabel letters by first occurrence; preserves boundaries and projections."""
     rank = {ltr: chr(r) for r, ltr in enumerate(phrase.letters, 1)}.__getitem__
     packed = "\0".join("".join(map(rank, comp)) for comp in phrase.components)
-    proj = phrase.proj
-    return CanonicalForm.from_packed(packed, tuple(proj[ltr] for ltr in phrase.letters))
+    codes = _encode_symbols([*map(phrase.proj.__getitem__, phrase.letters)])
+    return CanonicalForm.from_key(chr(len(phrase.letters)) + packed + codes)
 
 
 def validate_nanophrase(alphabet, components, proj):

@@ -23,6 +23,7 @@ from .core import (
     ConsistencyError,
     NanowordError,
     Nanophrase,
+    _encode_symbols,
     canonical_form,
     rank_letters,
 )
@@ -61,10 +62,10 @@ class MoveSite:
 def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     """All admissible sites of the requested kinds, deterministically ordered.
 
-    phrase is a Nanophrase or a CanonicalForm.  A form carries no
-    alphabet and is read over moves.alphabet as form.to_phrase would
-    build it, so its sites name letters by rank_letters and replay on
-    that phrase.
+    phrase is a Nanophrase, a CanonicalForm or a form's key.  A form
+    carries no alphabet and is read over moves.alphabet as
+    form.to_phrase would build it, so its sites name letters by
+    rank_letters and replay on that phrase.
 
     Sites come out grouped by kind in ALL_KINDS order; within a kind they
     ascend by positions, then gaps, then symbols.
@@ -73,6 +74,8 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     the new letters; with kinds=None they are included exactly when a
     budget is given.
     """
+    if isinstance(phrase, str):
+        phrase = CanonicalForm.from_key(phrase)
     if isinstance(phrase, CanonicalForm):
         flat, comp_of, proj, components = _form_layout(phrase)
     else:
@@ -144,7 +147,7 @@ def _form_layout(form):
     # The flat letters, their component indices, the projections and the
     # components (as packed rank strings) of form.to_phrase(...), without
     # building it.
-    names = rank_letters(len(form.proj_seq))
+    names = rank_letters(form.n_letters)
     comps = form.packed.split("\0")
     flat = tuple(names[ord(ch) - 1] for comp in comps for ch in comp)
     comp_of = tuple(c for c, comp in enumerate(comps) for _ in comp)
@@ -167,6 +170,8 @@ def _insertion_sites(lengths, q, r):
 # a few small shapes; the memo keeps at most 32 shapes of at most 16 gaps.
 _SHARED_MAX_GAPS = 16
 _shared_insertion_sites = lru_cache(maxsize=32)(_insertion_sites)
+# A few symbol tuples recur on every insertion site: encode each once.
+_site_codes = lru_cache(maxsize=256)(_encode_symbols)
 
 
 def _check_match(phrase, site, expected):
@@ -272,35 +277,34 @@ def _delete(phrase, positions, letters):
     return Nanophrase(phrase.alphabet, comps, proj, validate=False)
 
 
-def _expand(form, moves, max_letters, kinds=ALL_KINDS):
-    """The (site, child) pairs of find_move_sites(form, moves, kinds, max_letters).
+def _expand(key, moves, max_letters, kinds=ALL_KINDS):
+    """The (site, child key) pairs of find_move_sites(key, moves, kinds, max_letters).
 
     Each child is built only when it is read, in site order.
     """
-    return _form_children(form, find_move_sites(form, moves, kinds, max_letters))
+    return _form_children(key, find_move_sites(key, moves, kinds, max_letters))
 
 
-def _form_children(form, sites):
-    """Yield (site, child) for each site of a canonical form, built on its packed key.
+def _form_children(key, sites):
+    """Yield (site, child key) for each site of a form's key, built on the key.
 
-    Gives the same forms as canonical_form(apply_move(phrase, site)) on
-    form.to_phrase(...), without materializing a Nanophrase.  The sites
-    must come from find_move_sites on that form, so they are not
+    Gives the keys of canonical_form(apply_move(phrase, site)) on the
+    key's form.to_phrase(...), without materializing a Nanophrase.  The
+    sites must come from find_move_sites on that key, so they are not
     rechecked.  An insertion at packed index g gives its first new
     letter the rank t = max(ranks before g) + 1; every rank at or above
     t shifts by the number of new letters (one str.translate), and the
-    new letters are sliced in at their gaps.
+    new letters and their codes are sliced in.
     """
-    packed, proj_seq = form.packed, form.proj_seq
-    n = len(proj_seq)
+    n = ord(key[0])
+    packed, codes = key[1:len(key) - n], key[len(key) - n:]
     starts = [0] + [i + 1 for i, ch in enumerate(packed) if ch == "\0"]
     prefix_max = list(accumulate(map(ord, packed), max, initial=0))
-    make = CanonicalForm.from_packed
     last_gaps = None
     for site in sites:
         gaps = site.gaps
         if not gaps:
-            yield site, _relabel_matched(packed, proj_seq, site)
+            yield site, _relabel_matched(packed, codes, site)
             continue
         if gaps != last_gaps:
             # Sites of one gap (or gap pair) differ only in their symbols,
@@ -309,11 +313,10 @@ def _form_children(form, sites):
             (c, o) = gaps[0]
             g = starts[c] + o
             t = prefix_max[g] + 1
-            head, tail = proj_seq[:t - 1], proj_seq[t - 1:]
             new = chr(t)
             if len(gaps) == 1:  # M1ins
                 shifted = packed.translate(_shift_table(n, t, 1))
-                key = shifted[:g] + new + new + shifted[g:]
+                head = chr(n + 1) + shifted[:g] + new + new + shifted[g:]
             else:
                 # M2ins.  Like apply_move, a second gap equal to the first
                 # puts the closing pair after the opening one.
@@ -321,9 +324,10 @@ def _form_children(form, sites):
                 g2 = starts[c2] + o2
                 shifted = packed.translate(_shift_table(n, t, 2))
                 partner = chr(t + 1)
-                key = (shifted[:g] + new + partner + shifted[g:g2]
-                       + partner + new + shifted[g2:])
-        yield site, make(key, head + site.symbols + tail)
+                head = (chr(n + 2) + shifted[:g] + new + partner + shifted[g:g2]
+                        + partner + new + shifted[g2:])
+            head, tail = head + codes[:t - 1], codes[t - 1:]
+        yield site, head + _site_codes(site.symbols) + tail
 
 
 @lru_cache(maxsize=128)
@@ -333,7 +337,7 @@ def _shift_table(n, t, by):
     return tuple(range(t)) + tuple(range(t + by, n + 1 + by))
 
 
-def _relabel_matched(packed, proj_seq, site):
+def _relabel_matched(packed, codes, site):
     # M1/M2 drop their positions, M3/M3inv swap their three pairs; then
     # one pass renumbers the ranks by first occurrence.
     chars = list(packed)
@@ -345,11 +349,11 @@ def _relabel_matched(packed, proj_seq, site):
         for p in site.positions[::2]:
             i = at[p]
             chars[i], chars[i + 1] = chars[i + 1], chars[i]
-    key = "".join(chars)
-    order = dict.fromkeys(key.replace("\0", ""))
+    moved = "".join(chars)
+    order = dict.fromkeys(moved.replace("\0", ""))
     relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
-    return CanonicalForm.from_packed(key.translate(relabel),
-                                     tuple(proj_seq[ord(ch) - 1] for ch in order))
+    return (chr(len(order)) + moved.translate(relabel)
+            + "".join([codes[ord(ch) - 1] for ch in order]))
 
 
 @dataclass(frozen=True)
@@ -396,7 +400,7 @@ def replay_path(start, path, alphabet):
 class NeighborCache:
     """Memoized neighbor expansion for callers that share it across searches.
 
-    Neighbors are cached per (form, slack), where slack = min(2,
+    Neighbors are cached per (form key, slack), where slack = min(2,
     max_letters - n) is how many letters an insertion may add, so only
     children inside the budget are built and one cache stays correct
     across searches with different budgets.  Each list is _expand's,
@@ -408,24 +412,24 @@ class NeighborCache:
         self.moves = moves
         self._table = {}
 
-    def raw(self, form, slack):
-        got = self._table.get((form, slack))
+    def raw(self, key, slack):
+        got = self._table.get((key, slack))
         if got is None:
-            got = tuple(_expand(form, self.moves, form.n_letters + slack))
-            self._table[form, slack] = got
+            got = tuple(_expand(key, self.moves, ord(key[0]) + slack))
+            self._table[key, slack] = got
         return got
 
-    def within(self, form, max_letters):
-        if max_letters < form.n_letters:
+    def within(self, key, max_letters):
+        if max_letters < ord(key[0]):
             raise ValueError("max_letters must cover the form")
-        return self.raw(form, min(2, max_letters - form.n_letters))
+        return self.raw(key, min(2, max_letters - ord(key[0])))
 
 
-def _budget_cut(form, moves, max_letters):
+def _budget_cut(key, moves, max_letters):
     # True when the letter budget suppresses an admissible insertion at
-    # form: every form has a gap, so M1ins needs only a Q member and one
-    # letter of slack, M2ins an R member and two.
-    slack = max_letters - form.n_letters
+    # the key's form: every form has a gap, so M1ins needs only a Q member
+    # and one letter of slack, M2ins an R member and two.
+    slack = max_letters - ord(key[0])
     return (bool(moves.q) and slack < 1) or (bool(moves.r) and slack < 2)
 
 
@@ -458,8 +462,8 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
 
     if neighbor_cache is not None and neighbor_cache.moves != moves:
         raise ValueError("neighbor cache was built for a different move system")
-    visited = ({c1: (None, None)}, {c2: (None, None)})
-    frontiers = [[c1], [c2]]
+    visited = ({c1.key: (None, None)}, {c2.key: (None, None)})
+    frontiers = [[c1.key], [c2.key]]
     cut = [False, False]
     explored = 2
     meet = None
@@ -468,14 +472,14 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         here, there = visited[side], visited[1 - side]
         fresh = []
-        for form in frontiers[side]:
-            cut[side] = cut[side] or _budget_cut(form, moves, max_letters)
-            children = (_expand(form, moves, max_letters) if neighbor_cache is None
-                        else neighbor_cache.within(form, max_letters))
+        for state in frontiers[side]:
+            cut[side] = cut[side] or _budget_cut(state, moves, max_letters)
+            children = (_expand(state, moves, max_letters) if neighbor_cache is None
+                        else neighbor_cache.within(state, max_letters))
             for site, child in children:
                 if child in here:
                     continue
-                here[child] = (form, site)
+                here[child] = (state, site)
                 explored += 1
                 if child in there:
                     meet = child
@@ -526,9 +530,9 @@ def decide(phrase1, phrase2, moves, lifted, max_letters, max_states):
     return replace(verdict, status=NOT_EQUIVALENT, reason=reason, separator=separator)
 
 
-def _chain(visited_map, form):
+def _chain(visited_map, state):
     steps = []
-    current = form
+    current = state
     while True:
         parent, site = visited_map[current]
         if parent is None:
@@ -552,11 +556,11 @@ def _assemble_path(visited, meet, moves, max_letters):
         # of side 2 needs child -> parent.  find_move_sites keeps each
         # kind's order, so scanning only the kinds that restore parent's
         # letter count meets the same first site as a scan of all kinds.
-        kinds = _KINDS_BY_DELTA[parent.n_letters - child.n_letters]
+        kinds = _KINDS_BY_DELTA[ord(parent[0]) - ord(child[0])]
         for site, result in _expand(child, moves, max_letters, kinds):
             if result == parent:
                 steps.append((child, site, parent))
                 break
         else:
             raise ConsistencyError("no inverse move found while assembling a path")
-    return tuple(PathStep(site, child) for _parent, site, child in steps)
+    return tuple(PathStep(site, CanonicalForm.from_key(child)) for _parent, site, child in steps)

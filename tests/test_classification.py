@@ -3,7 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from nanowords import Alphabet, MoveSystem, builtin_data, canonical_form, enumerate_nanophrases
+from nanowords import (
+    Alphabet,
+    CanonicalForm,
+    MoveSystem,
+    builtin_data,
+    canonical_form,
+    enumerate_nanophrases,
+)
 from nanowords.classification import SetContext, _set_invariant_key, classify
 from nanowords.core import ConsistencyError
 from nanowords.moves import NeighborCache
@@ -42,7 +49,8 @@ def _reference_classify(ctx, n_letters, max_letters, max_states):
     truncated = False
     while queue and not truncated:
         form = queue.popleft()
-        for _site, child in cache.within(form, max_letters):
+        for _site, child in cache.within(form.key, max_letters):
+            child = CanonicalForm.from_key(child)
             parent.setdefault(child, child)
             ra, rb = find(form), find(child)
             if ra is not rb:
@@ -53,7 +61,7 @@ def _reference_classify(ctx, n_letters, max_letters, max_states):
                     truncated = True
                     break
                 queue.append(child)
-    keys = {form: _set_invariant_key(ctx, form) for form in visited}
+    keys = {form: _set_invariant_key(ctx, form.key) for form in visited}
     class_of = {}
     for seed in seeds:
         class_of.setdefault(find(seed), []).append(seed)
@@ -109,7 +117,7 @@ def test_closures_that_meet_raise(monkeypatch):
     alpha = Alphabet(("a",))
     ctx = SetContext(None, alpha, 1, MoveSystem(alpha, q=(), r=(), s=()), None)
     target = canonical_form(ph(alpha, "ABCABC", {"A": "a", "B": "a", "C": "a"}))
-    monkeypatch.setattr(nanowords.classification, "_expand", _one_way_expand(target))
+    monkeypatch.setattr(nanowords.classification, "_expand", _one_way_expand(target.key))
     with pytest.raises(ConsistencyError, match="meet"):
         classify(ctx, 1, 3, 100)
 
@@ -117,7 +125,7 @@ def test_closures_that_meet_raise(monkeypatch):
 def test_invariant_change_along_a_move_raises(monkeypatch, curves):
     ctx = _context("curves", 1)
     target = canonical_form(ph(curves.base_alphabet, "ABAB", {"A": "a", "B": "a"}))
-    monkeypatch.setattr(nanowords.classification, "_expand", _one_way_expand(target))
+    monkeypatch.setattr(nanowords.classification, "_expand", _one_way_expand(target.key))
     with pytest.raises(ConsistencyError, match="disagree on invariants"):
         classify(ctx, 0, 2, 100)
 

@@ -1,5 +1,10 @@
 import itertools
+import os
 import pickle
+import random
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +28,7 @@ from nanowords import (
     t_invariant,
     validate_nanophrase,
 )
+import nanowords
 from nanowords.moves import _form_children
 from conftest import ph
 
@@ -158,6 +164,10 @@ class TestCanonicalFormContract:
         again = canonical_form(phrase)
         assert again == form and hash(again) == hash(form)
         assert again.pattern == pattern and again.proj_seq == proj_seq
+        # The key: the letter count, the packed ranks, one code per letter.
+        assert again.key == form.key and CanonicalForm.from_key(form.key) == form
+        assert ord(form.key[0]) == len(proj_seq)
+        assert len(form.key) == 1 + len(form.packed) + len(proj_seq)
         tokens = []
         for index, comp in enumerate(pattern):
             tokens += ["|"] * bool(index) + [str(r) for r in comp]
@@ -174,8 +184,8 @@ class TestCanonicalFormContract:
         moves = curves.base_moves
         parent = canonical_form(ph(curves.base_alphabet, "ABACBC|DEED",
                                    {"A": "a", "B": "a", "C": "a", "D": "a", "E": "b"}))
-        children = tuple(_form_children(parent, find_move_sites(
-            parent, moves, ALL_KINDS, parent.n_letters + 2)))
+        children = tuple((site, CanonicalForm.from_key(child)) for site, child in _form_children(
+            parent.key, find_move_sites(parent, moves, ALL_KINDS, parent.n_letters + 2)))
         assert {site.kind for site, _child in children} == set(ALL_KINDS) - {"M3inv"}
         phrase = parent.to_phrase(curves.base_alphabet)
         for site, child in children:
@@ -195,7 +205,8 @@ class TestCanonicalFormContract:
         matched = find_move_sites(parent, moves)
         assert matched == find_move_sites(phrase, moves)
         assert matched[0].letters == ("L300",)
-        for site, child in _form_children(parent, sites):
+        for site, child in _form_children(parent.key, sites):
+            child = CanonicalForm.from_key(child)
             reference = canonical_form(apply_move(phrase, site))
             assert child == reference and hash(child) == hash(reference)
             assert max(map(max, child.pattern)) == 301
@@ -218,7 +229,7 @@ class TestCanonicalFormContract:
     def test_equal_only_to_forms(self):
         form = CanonicalForm(((1, 2, 2, 1), ()), ("a", "b"))
         for other in (form.pattern, form.packed, (form.pattern, form.proj_seq),
-                      (form.packed, form.proj_seq), form.proj_seq):
+                      (form.packed, form.proj_seq), form.proj_seq, form.key):
             assert form != other and other != form
             assert not form == other
         assert form != CanonicalForm(((1, 2, 2, 1), ()), ("b", "a"))
@@ -235,6 +246,86 @@ class TestCanonicalFormContract:
         form = CanonicalForm(((1, 2), (2, 1)), ("a", "b"))
         again = pickle.loads(pickle.dumps(form))
         assert again == form and hash(again) == hash(form)
+        assert form not in {form.key} and form.key not in {form}
+
+    def test_symbols_first_seen_in_different_orders(self):
+        # Lifted names, each first met in a different place of a form.
+        names = ["s_1_2", "s_2_2", "s_1_1", "t_1_2"]
+        pattern = ((1, 2, 3, 4, 4, 3, 2, 1),)
+        forms = [CanonicalForm(pattern, names[i:] + names[:i]) for i in range(len(names))]
+        forms += [CanonicalForm(pattern, names[::-1])]
+        for form, proj_seq in zip(forms, [names[i:] + names[:i] for i in range(4)]
+                                  + [names[::-1]]):
+            assert form.proj_seq == tuple(proj_seq)
+            assert CanonicalForm(form.pattern, form.proj_seq) == form
+        assert len(set(forms)) == len(forms)
+        alphabet = Alphabet(tuple(names))
+        phrase = Nanophrase(alphabet, [tuple("ABCDDCBA")], dict(zip("ABCD", names[::-1])))
+        assert canonical_form(phrase) == forms[-1]
+        assert canonical_form(phrase).serialize() == "1 2 3 4 4 3 2 1 ; t_1_2 s_1_1 s_2_2 s_1_2"
+
+    def test_pickles_load_in_a_process_with_other_codes(self):
+        # Codes never leave the process: the other process registers ten
+        # other symbols, then these in the opposite order, before it
+        # unpickles, so its keys differ from this process's.
+        symbols = ("a_1_2", "a_1_1", "b", "a_2_2")
+        specs = [(((1, 2, 1), (), (2, 3, 3)), symbols[:3]), (((), (1, 1)), symbols[3:]),
+                 (((),), ())]
+        forms = [CanonicalForm(pattern, proj_seq) for pattern, proj_seq in specs]
+        script = (
+            "import pickle, sys\n"
+            "from nanowords import CanonicalForm\n"
+            "CanonicalForm(((1, 1),) * 10, [f'other{i}' for i in range(10)])\n"
+            f"CanonicalForm(((1, 1, 2, 2, 3, 3, 4, 4),), {symbols[::-1]!r})\n"
+            "forms = pickle.loads(sys.stdin.buffer.read())\n"
+            f"built = [CanonicalForm(pattern, proj_seq) for pattern, proj_seq in {specs!r}]\n"
+            "assert forms == built and [hash(f) for f in forms] == [hash(f) for f in built]\n"
+            "for form in forms:\n"
+            "    print(form.serialize(), ascii(form.key), sep='\\t')\n")
+        package_root = os.path.dirname(os.path.dirname(nanowords.__file__))
+        done = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(forms),
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": package_root})
+        assert done.returncode == 0, done.stderr.decode()
+        texts, keys = zip(*(line.split("\t") for line in done.stdout.decode().splitlines()))
+        assert list(texts) == [form.serialize() for form in forms]
+        assert list(keys) != [ascii(form.key) for form in forms]
+
+    def test_concurrent_first_use_gives_one_code_per_symbol(self):
+        # Eight threads meet new symbols at once: each owns 40, and all
+        # share 40, each thread in its own order.
+        tag = f"thread{random.randrange(10**9)}"
+        shared = [f"{tag}_shared_{j}" for j in range(40)]
+        start = threading.Barrier(8, timeout=30)
+        results = [None] * 8
+
+        def work(index):
+            symbols = shared + [f"{tag}_own{index}_{j}" for j in range(40)]
+            random.Random(index).shuffle(symbols)
+            start.wait()
+            results[index] = {s: CanonicalForm(((1, 1),), (s,)) for s in symbols}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        codes = {}
+        for forms in results:
+            for symbol, form in forms.items():
+                assert form.proj_seq == (symbol,)
+                assert codes.setdefault(symbol, form.key[-1]) == form.key[-1]
+        assert len(codes) == 40 + 8 * 40
+        assert len(set(codes.values())) == len(codes)
+        for symbol in shared:
+            built = {forms[symbol] for forms in results}
+            assert len(built) == 1 and built == {CanonicalForm(((1, 1),), (symbol,))}
 
 
 def _bijection_oracle(p1, p2):

@@ -223,6 +223,11 @@ def test_neighbor_cache_matches_reference_on_lifted_ornaments():
         data.lifted_moves, _forms(data.lifted.alphabet, 1, range(3)))
 
 
+def _wrapped(children):
+    # (site, child key) pairs of the kernel as (site, CanonicalForm) pairs.
+    return [(site, CanonicalForm.from_key(child)) for site, child in children]
+
+
 def _check_cache_against_reference(moves, forms):
     # Reference: build every child up to n+2 letters with apply_move and
     # canonical_form, then drop those over the budget.  One cache serves
@@ -241,12 +246,12 @@ def _check_cache_against_reference(moves, forms):
             budgets.reverse()
         for max_letters in budgets + budgets[::-1]:
             expected = [(s, c) for s, c in every if c.n_letters <= max_letters]
-            assert list(cache.within(form, max_letters)) == expected, \
+            assert _wrapped(cache.within(form.key, max_letters)) == expected, \
                 (form, max_letters)
         for max_letters in budgets:
-            lazy = _expand(form, moves, max_letters)
+            lazy = _expand(form.key, moves, max_letters)
             assert iter(lazy) is lazy, "children must be built lazily"
-            assert list(lazy) == [(s, c) for s, c in every
+            assert _wrapped(lazy) == [(s, c) for s, c in every
                                   if c.n_letters <= max_letters], (form, max_letters)
 
 
@@ -254,8 +259,8 @@ def test_neighbor_cache_rejects_a_budget_below_the_form(curves):
     cache = NeighborCache(curves.base_moves)
     form = canonical_form(ph(curves.base_alphabet, "ABAB", {"A": "a", "B": "b"}))
     with pytest.raises(ValueError):
-        cache.within(form, form.n_letters - 1)
-    assert cache.within(form, form.n_letters) == cache.raw(form, 0)
+        cache.within(form.key, form.n_letters - 1)
+    assert cache.within(form.key, form.n_letters) == cache.raw(form.key, 0)
 
 
 def _assert_form_sites_match(moves, form, max_letters):
@@ -265,6 +270,9 @@ def _assert_form_sites_match(moves, form, max_letters):
     assert find_move_sites(form, moves, ALL_KINDS, max_letters) == \
         find_move_sites(phrase, moves, ALL_KINDS, max_letters), form
     assert find_move_sites(form, moves) == find_move_sites(phrase, moves), form
+    assert find_move_sites(form.key, moves, ALL_KINDS, max_letters) == \
+        find_move_sites(form, moves, ALL_KINDS, max_letters), form
+    assert find_move_sites(form.key, moves) == find_move_sites(form, moves), form
 
 
 @pytest.mark.parametrize("name,k", [
@@ -308,7 +316,7 @@ def test_form_sites_match_phrase_sites_on_grown_words(name, k):
         phrase = form.to_phrase(moves.alphabet)
         expected = [(s, canonical_form(apply_move(phrase, s)))
                     for s in find_move_sites(phrase, moves, ALL_KINDS, form.n_letters + 1)]
-        assert list(cache.within(form, form.n_letters + 1)) == expected, form
+        assert _wrapped(cache.within(form.key, form.n_letters + 1)) == expected, form
 
 
 def _reference_matched_sites(phrase, moves):
@@ -439,7 +447,7 @@ class TestFormKernel:
         phrase = form.to_phrase(moves.alphabet)
         (site,) = [s for s in find_move_sites(phrase, moves, (kind,), form.n_letters + 2)
                    if s.gaps == gaps and s.symbols == symbols]
-        ((_site, child),) = _form_children(form, (site,))
+        ((_site, child),) = _wrapped(_form_children(form.key, (site,)))
         assert child == canonical_form(apply_move(phrase, site))
         return child
 
@@ -676,7 +684,7 @@ def _full_scan_assembly(visited, meet, moves, max_letters):
     for parent, _site, child in reversed(_chain(visited[1], meet)):
         site = next(s for s, result in cache.within(child, max_letters) if result == parent)
         steps.append((child, site, parent))
-    return tuple(PathStep(site, child) for _parent, site, child in steps)
+    return tuple(PathStep(site, CanonicalForm.from_key(child)) for _parent, site, child in steps)
 
 
 def test_inverse_kind_assembly_matches_the_full_scan(monkeypatch, curves, diagonal):
