@@ -24,6 +24,7 @@ from .core import (
     NanowordError,
     Nanophrase,
     _encode_symbols,
+    _symbol_of,
     canonical_form,
     rank_letters,
 )
@@ -74,19 +75,18 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     the new letters; with kinds=None they are included exactly when a
     budget is given.
     """
-    if isinstance(phrase, str):
-        phrase = CanonicalForm.from_key(phrase)
     if isinstance(phrase, CanonicalForm):
-        flat, comp_of, proj, components = _form_layout(phrase)
+        phrase = phrase.key
+    if isinstance(phrase, str):
+        n = ord(phrase[0])
+        components = phrase[1:len(phrase) - n].split("\0")
+    elif moves.alphabet != phrase.alphabet:
+        raise AlphabetMismatch("move system and phrase use different alphabets")
     else:
-        if moves.alphabet != phrase.alphabet:
-            raise AlphabetMismatch("move system and phrase use different alphabets")
-        flat, comp_of, proj, components = (phrase.flat, phrase.comp_of, phrase.proj,
-                                           phrase.components)
+        n, components = phrase.n_letters, phrase.components
     if kinds is None:
         kinds = ALL_KINDS if max_letters is not None else MATCH_KINDS
     wanted = set(kinds)
-    n = len(proj)
     sites = []
     # partner[p] is the other occurrence of the letter at p; joined[p] says
     # that p and p + 1 are adjacent in one component.  The first pair
@@ -94,6 +94,8 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     # has one candidate per adjacent pair, tested in O(1).  Only the
     # matched kinds read them.
     if not wanted.isdisjoint(MATCH_KINDS):
+        flat, comp_of, proj = (_key_layout(phrase, components) if isinstance(phrase, str)
+                               else (phrase.flat, phrase.comp_of, phrase.proj))
         joined = [a == b for a, b in zip(comp_of, comp_of[1:])] + [False]
         adj = [p for p, ok in enumerate(joined) if ok]
         partner, first = [0] * len(flat), {}
@@ -138,20 +140,20 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
         r = moves.r if "M2ins" in wanted and n + 2 <= max_letters else frozenset()
         if q or r:
             lengths = tuple(map(len, components))
-            small = len(flat) + len(lengths) <= _SHARED_MAX_GAPS
+            small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
             sites += (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
     return sites
 
 
-def _form_layout(form):
-    # The flat letters, their component indices, the projections and the
-    # components (as packed rank strings) of form.to_phrase(...), without
-    # building it.
-    names = rank_letters(form.n_letters)
-    comps = form.packed.split("\0")
-    flat = tuple(names[ord(ch) - 1] for comp in comps for ch in comp)
-    comp_of = tuple(c for c, comp in enumerate(comps) for _ in comp)
-    return flat, comp_of, dict(zip(names, form.proj_seq)), comps
+def _key_layout(key, components):
+    # The flat letters, their component indices and the projections of
+    # CanonicalForm.from_key(key).to_phrase(...), without building it;
+    # components are the key's packed rank strings.
+    names = rank_letters(ord(key[0]))
+    flat = tuple(names[ord(ch) - 1] for comp in components for ch in comp)
+    comp_of = tuple(c for c, comp in enumerate(components) for _ in comp)
+    codes = key[len(key) - len(names):]
+    return flat, comp_of, dict(zip(names, map(_symbol_of.__getitem__, codes)))
 
 
 def _insertion_sites(lengths, q, r):
@@ -462,7 +464,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
 
     if neighbor_cache is not None and neighbor_cache.moves != moves:
         raise ValueError("neighbor cache was built for a different move system")
-    visited = ({c1.key: (None, None)}, {c2.key: (None, None)})
+    visited = ({c1.key: None}, {c2.key: None})  # child key -> parent key
     frontiers = [[c1.key], [c2.key]]
     cut = [False, False]
     explored = 2
@@ -476,10 +478,10 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
             cut[side] = cut[side] or _budget_cut(state, moves, max_letters)
             children = (_expand(state, moves, max_letters) if neighbor_cache is None
                         else neighbor_cache.within(state, max_letters))
-            for site, child in children:
+            for _site, child in children:
                 if child in here:
                     continue
-                here[child] = (state, site)
+                here[child] = state
                 explored += 1
                 if child in there:
                     meet = child
@@ -530,37 +532,31 @@ def decide(phrase1, phrase2, moves, lifted, max_letters, max_states):
     return replace(verdict, status=NOT_EQUIVALENT, reason=reason, separator=separator)
 
 
-def _chain(visited_map, state):
-    steps = []
-    current = state
-    while True:
-        parent, site = visited_map[current]
-        if parent is None:
-            break
-        steps.append((parent, site, current))
-        current = parent
-    steps.reverse()
-    return steps
-
-
-# The kinds of a step that changes the letter count by the key: only
-# they can undo a recorded edge of the opposite change.
+# The kinds of a step that changes the letter count by the key; a kind
+# keeps its order in find_move_sites, so scanning only these meets the
+# same first site as a scan of all kinds.
 _KINDS_BY_DELTA = {-2: ("M2",), -1: ("M1",), 0: ("M3", "M3inv"),
                    1: ("M1ins",), 2: ("M2ins",)}
 
 
 def _assemble_path(visited, meet, moves, max_letters):
-    steps = list(_chain(visited[0], meet))
-    for parent, _site, child in reversed(_chain(visited[1], meet)):
-        # The recorded edge runs parent -> child; walking meet -> start
-        # of side 2 needs child -> parent.  find_move_sites keeps each
-        # kind's order, so scanning only the kinds that restore parent's
-        # letter count meets the same first site as a scan of all kinds.
-        kinds = _KINDS_BY_DELTA[ord(parent[0]) - ord(child[0])]
-        for site, result in _expand(child, moves, max_letters, kinds):
-            if result == parent:
-                steps.append((child, site, parent))
+    # The keys run from side 1's start through meet to side 2's start.  A
+    # step's site is the first site of its source whose child is the next
+    # key: the site the search met it by on side 1, and the first move
+    # undoing a side-2 link.
+    keys = [meet]
+    while visited[0][keys[-1]] is not None:
+        keys.append(visited[0][keys[-1]])
+    keys.reverse()
+    while visited[1][keys[-1]] is not None:
+        keys.append(visited[1][keys[-1]])
+    steps = []
+    for source, target in zip(keys, keys[1:]):
+        kinds = _KINDS_BY_DELTA[ord(target[0]) - ord(source[0])]
+        for site, child in _expand(source, moves, max_letters, kinds):
+            if child == target:
+                steps.append(PathStep(site, CanonicalForm.from_key(target)))
                 break
         else:
-            raise ConsistencyError("no inverse move found while assembling a path")
-    return tuple(PathStep(site, CanonicalForm.from_key(child)) for _parent, site, child in steps)
+            raise ConsistencyError("no move found while assembling a path")
+    return tuple(steps)

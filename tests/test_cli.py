@@ -2,7 +2,7 @@ import pytest
 
 import nanowords.cli
 import nanowords.moves
-from nanowords import ConsistencyError, Nanophrase, builtin_data, equivalent
+from nanowords import CanonicalForm, ConsistencyError, Nanophrase, builtin_data, equivalent
 from nanowords.cli import main
 from nanowords.moves import PathStep
 
@@ -165,7 +165,7 @@ class TestEquiv:
         assemble = nanowords.moves._assemble_path
 
         def corrupted(visited, meet, moves, max_letters):
-            start = next(iter(visited[0]))
+            start = CanonicalForm.from_key(next(iter(visited[0])))
             return tamper(assemble(visited, meet, moves, max_letters), start)
 
         monkeypatch.setattr(nanowords.moves, "_assemble_path", corrupted)

@@ -26,8 +26,8 @@ from nanowords import (
 )
 import nanowords.moves
 from nanowords.invariants import invariant_lines
-from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _chain, _expand, \
-    _form_children
+from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
+    _expand, _form_children
 from conftest import ph
 
 
@@ -675,34 +675,58 @@ def test_lazy_search_matches_the_retaining_search(curves, diagonal):
     assert statuses[EQUIVALENT] and statuses[NOT_EQUIVALENT] and statuses[UNKNOWN], statuses
 
 
+def _links(parents, key):
+    # key, then each parent link back to its side's start.
+    while key is not None:
+        yield key
+        key = parents[key]
+
+
 def _full_scan_assembly(visited, meet, moves, max_letters):
-    # The earlier path assembly, kept as the reference: each side-2 step
-    # back to its parent is the first of all the child's neighbours that
-    # is the parent.
+    # The reference path assembly: each step from a source key to the next
+    # is the first of all the source's neighbours that is the next key.
+    keys = list(_links(visited[0], meet))[::-1] + list(_links(visited[1], meet))[1:]
     cache = NeighborCache(moves)
-    steps = _chain(visited[0], meet)
-    for parent, _site, child in reversed(_chain(visited[1], meet)):
-        site = next(s for s, result in cache.within(child, max_letters) if result == parent)
-        steps.append((child, site, parent))
-    return tuple(PathStep(site, CanonicalForm.from_key(child)) for _parent, site, child in steps)
+    return tuple(
+        PathStep(next(site for site, child in cache.within(source, max_letters) if child == target),
+                 CanonicalForm.from_key(target))
+        for source, target in zip(keys, keys[1:]))
 
 
 def test_inverse_kind_assembly_matches_the_full_scan(monkeypatch, curves, diagonal):
     assemble = nanowords.moves._assemble_path
-    side2_kinds = Counter()
+    kinds = Counter()
 
     def checked(visited, meet, moves, max_letters):
+        assert all(parent is None or type(parent) is str
+                   for parents in visited for parent in parents.values())
         path = assemble(visited, meet, moves, max_letters)
         assert path == _full_scan_assembly(visited, meet, moves, max_letters)
-        side2 = len(_chain(visited[1], meet))
-        side2_kinds.update(step.site.kind for step in path[len(path) - side2:])
+        kinds.update(step.site.kind for step in path)
         return path
 
     monkeypatch.setattr(nanowords.moves, "_assemble_path", checked)
     for p1, p2, moves, max_letters, max_states in _search_inputs(curves, diagonal):
         equivalent(p1, p2, moves, max_letters, max_states)
     # Every letter-count change, and both transposition kinds, occur.
-    assert set(side2_kinds) == set(ALL_KINDS), side2_kinds
+    assert set(kinds) == set(ALL_KINDS), kinds
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_a_link_no_move_realizes_stops_the_assembly(curves, side):
+    # ABAB and ABBA have two letters each, too few for M3 or M3inv, so no
+    # move turns one into the other.  The one step runs square -> nested,
+    # read from a side-1 or a side-2 link.
+    alpha, moves = curves.base_alphabet, curves.base_moves
+    proj = {"A": "a", "B": "a"}
+    square = canonical_form(ph(alpha, "ABAB", proj)).key
+    nested = canonical_form(ph(alpha, "ABBA", proj)).key
+    if side == 1:
+        visited, meet = ({square: None, nested: square}, {nested: None}), nested
+    else:
+        visited, meet = ({square: None}, {nested: None, square: nested}), square
+    with pytest.raises(ConsistencyError, match="no move found while assembling a path"):
+        _assemble_path(visited, meet, moves, 4)
 
 
 def _verdict_rule(p1, p2, moves, max_letters, max_states):
