@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .classification import SetContext, classify
 from .core import (
     Alphabet,
-    AlphabetMismatch,
     ConsistencyError,
     MoveSystem,
     NanowordError,
@@ -31,6 +30,7 @@ from .core import (
 from .invariants import invariant_lines
 from .lift import (
     BUILTIN_NAMES,
+    BuiltinData,
     LiftedAlphabet,
     builtin_data,
     check_conditions,
@@ -73,17 +73,11 @@ def _read(path):
 
 
 def _system(args, record):
-    """(builtin name, base alphabet, base moves, lift) from --builtin or the record.
-
-    lift() returns the order --k lifted alphabet and its move system.
-    """
-    builtin = getattr(args, "builtin", None)
-    if builtin:
+    """The BuiltinData of --builtin or of the record's own sections, lifted at --k."""
+    if args.builtin:
         if record is not None and record.has_alphabet_sections():
             raise NanowordError("--builtin conflicts with alphabet sections in the input")
-        data = builtin_data(builtin, args.k)
-        return builtin, data.base_alphabet, data.base_moves, lambda: (data.lifted,
-                                                                      data.lifted_moves)
+        return builtin_data(args.builtin, args.k)
     if record is None or record.alpha is None:
         raise NanowordError("input needs an 'alpha:' line or --builtin")
     base = Alphabet(record.alpha, record.tau)
@@ -91,39 +85,32 @@ def _system(args, record):
     r = record.r if record.r is not None else base.tau_graph
     s = record.s if record.s is not None else diagonal_triples(base)
     base_moves = MoveSystem(base, q, r, s)
-
-    def lift():
-        if record.q is not None or record.r is not None:
-            raise NanowordError("custom Q/R lines are not supported at the lifted level")
-        return lift_alphabet(base, base_moves.s, args.k)
-
-    return None, base, base_moves, lift
+    return BuiltinData(None, base, base_moves, *lift_alphabet(base, base_moves.s, args.k))
 
 
 def load_word_context(args, path, force_base=False):
     record = parse_record(_read(path))
     if record.components is None:
         raise NanowordError(f"{path}: no 'phrase:' line")
-    builtin, base, base_moves, lift = _system(args, record)
-    lifted_level = (builtin == "ornaments" or args.k > 1
-                    or any(sym not in base for sym in record.proj.values()))
-    if force_base and lifted_level:
+    data = _system(args, record)
+    base = data.base_alphabet
+    if not (data.name == "ornaments" or args.k > 1
+            or any(sym not in base for sym in record.proj.values())):
+        phrase = Nanophrase(base, record.components, record.proj)
+        return WordContext(data.name, base, None, data.base_moves, phrase)
+    if force_base:
         raise NanowordError("expected a phrase over the base alphabet")
-    if lifted_level:
-        lifted, moves = lift()
-        phrase = Nanophrase(lifted.alphabet, record.components, record.proj)
-        return WordContext(builtin, base, lifted, moves, phrase)
-    phrase = Nanophrase(base, record.components, record.proj)
-    return WordContext(builtin, base, None, base_moves, phrase)
+    if record.q is not None or record.r is not None:
+        raise NanowordError("custom Q/R lines are not supported at the lifted level")
+    phrase = Nanophrase(data.lifted.alphabet, record.components, record.proj)
+    return WordContext(data.name, base, data.lifted, data.lifted_moves, phrase)
 
 
 def load_set_context(args):
-    record = parse_record(_read(args.file)) if getattr(args, "file", None) else None
-    builtin, base, base_moves, lift = _system(args, record)
-    if builtin == "ornaments":
-        lifted, moves = lift()
-        return SetContext(builtin, lifted.alphabet, 1, moves, lifted)
-    return SetContext(builtin, base, args.k, base_moves, None)
+    data = _system(args, parse_record(_read(args.file)) if args.file else None)
+    if data.name == "ornaments":
+        return SetContext(data.name, data.lifted.alphabet, 1, data.lifted_moves, data.lifted)
+    return SetContext(data.name, data.base_alphabet, args.k, data.base_moves, None)
 
 
 def _emit(args, rows):
@@ -151,8 +138,6 @@ def cmd_invariants(args):
             ("components", ctx.phrase.k),
             ("letters", ctx.phrase.n_letters)]
     if ctx.is_lifted:
-        if ctx.phrase.k != 1:
-            raise NanowordError("lifted invariants need a one-component word")
         violation = check_conditions(ctx.phrase, ctx.lifted)
         rows.append(("conditions", "satisfied" if violation is None else
                      f"violated pair ({violation.letter_a},{violation.letter_b}) "
@@ -169,8 +154,6 @@ def cmd_invariants(args):
 def cmd_equiv(args):
     ctx1 = load_word_context(args, args.file)
     ctx2 = load_word_context(args, args.file2)
-    if ctx1.phrase.alphabet != ctx2.phrase.alphabet:
-        raise AlphabetMismatch("the two inputs use different alphabets")
     if ctx1.moves != ctx2.moves:
         raise NanowordError("the two inputs carry different move systems")
     p1, p2 = ctx1.phrase, ctx2.phrase
@@ -195,10 +178,8 @@ def cmd_equiv(args):
 
 
 def cmd_lift(args):
-    args.k = 1  # lifting starts from a base-level phrase
     ctx = load_word_context(args, args.file, force_base=True)
-    lifted = LiftedAlphabet(ctx.base, ctx.phrase.k)
-    word = phi(ctx.phrase, lifted)
+    word = phi(ctx.phrase)
     comments = [f"flattened {ctx.phrase.k}-component phrase; reread with --k {ctx.phrase.k}"
                 + (f" --builtin {ctx.builtin}" if ctx.builtin else "")]
     alphabet_lines = () if ctx.builtin else render_alphabet_lines(ctx.base)
@@ -210,8 +191,6 @@ def cmd_project(args):
     ctx = load_word_context(args, args.file)
     if not ctx.is_lifted:
         raise NanowordError("input is not a lifted word (nothing to project)")
-    if ctx.phrase.k != 1:
-        raise NanowordError("projection needs a one-component word")
     phrase = psi(ctx.phrase, ctx.lifted)
     # The rebuilt phrase lives over the base alphabet, so ornaments input
     # projects onto the curves base.
@@ -273,11 +252,18 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def _add_common(sub, k_help):
+def _add_options(sub, name, k_help):
     sub.add_argument("--builtin", choices=BUILTIN_NAMES,
                      help="use a built-in alphabet and move system")
-    sub.add_argument("--k", type=int, default=1, help=k_help)
-    sub.add_argument("--format", choices=("report", "tsv"), default="report")
+    if name == "lift":
+        sub.set_defaults(k=1)  # lifting starts from a base-level phrase
+    else:
+        sub.add_argument("--k", type=int, default=1, help=k_help)
+    if name in ("equiv", "classify"):
+        sub.add_argument("--max-letters", type=int, default=None)
+        sub.add_argument("--max-states", type=int, default=None)
+    if name in ("invariants", "equiv", "enumerate", "classify"):
+        sub.add_argument("--format", choices=("report", "tsv"), default="report")
 
 
 def _build_parser():
@@ -288,18 +274,14 @@ def _build_parser():
     word_k = "subscript order of the lifted alphabet for word-level inputs"
     set_k = "component count for enumeration (subscript order for ornaments)"
 
-    for name, func, extra in (
-            ("validate", cmd_validate, 0), ("canon", cmd_canon, 0),
-            ("invariants", cmd_invariants, 0), ("equiv", cmd_equiv, 1),
-            ("lift", cmd_lift, 0), ("project", cmd_project, 0)):
+    for name, func in (("validate", cmd_validate), ("canon", cmd_canon),
+                       ("invariants", cmd_invariants), ("equiv", cmd_equiv),
+                       ("lift", cmd_lift), ("project", cmd_project)):
         sub = subs.add_parser(name)
         sub.add_argument("file")
-        if extra:
-            sub.add_argument("file2")
         if name == "equiv":
-            sub.add_argument("--max-letters", type=int, default=None)
-            sub.add_argument("--max-states", type=int, default=None)
-        _add_common(sub, word_k)
+            sub.add_argument("file2")
+        _add_options(sub, name, word_k)
         sub.set_defaults(func=func)
 
     for name, func in (("enumerate", cmd_enumerate), ("classify", cmd_classify)):
@@ -307,10 +289,7 @@ def _build_parser():
         sub.add_argument("file", nargs="?", default=None,
                          help="record providing alphabet sections (or use --builtin)")
         sub.add_argument("--n", type=int, required=True, help="letter budget")
-        if name == "classify":
-            sub.add_argument("--max-letters", type=int, default=None)
-            sub.add_argument("--max-states", type=int, default=None)
-        _add_common(sub, set_k)
+        _add_options(sub, name, set_k)
         sub.set_defaults(func=func)
     return parser
 

@@ -61,7 +61,7 @@ class MoveSite:
 
 
 def find_move_sites(phrase, moves, kinds=None, max_letters=None):
-    """All admissible sites of the requested kinds, deterministically ordered.
+    """All admissible sites of the requested kinds (None: every kind), in a fixed order.
 
     phrase is a Nanophrase, a CanonicalForm or a form's key.  A form
     carries no alphabet and is read over moves.alphabet as
@@ -72,8 +72,7 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     ascend by positions, then gaps, then symbols.
 
     Insertion kinds are enumerated only when max_letters leaves room for
-    the new letters; with kinds=None they are included exactly when a
-    budget is given.
+    the new letters.
     """
     if isinstance(phrase, CanonicalForm):
         phrase = phrase.key
@@ -84,9 +83,7 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
         raise AlphabetMismatch("move system and phrase use different alphabets")
     else:
         n, components = phrase.n_letters, phrase.components
-    if kinds is None:
-        kinds = ALL_KINDS if max_letters is not None else MATCH_KINDS
-    wanted = set(kinds)
+    wanted = set(ALL_KINDS if kinds is None else kinds)
     sites = []
     # partner[p] is the other occurrence of the letter at p; joined[p] says
     # that p and p + 1 are adjacent in one component.  The first pair

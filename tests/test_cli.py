@@ -283,7 +283,7 @@ class TestCountArguments:
 
     @pytest.mark.parametrize("command,extra", [
         ("validate", ()), ("canon", ()), ("invariants", ("--builtin", "curves")),
-        ("lift", ("--builtin", "curves")), ("project", ("--builtin", "curves")),
+        ("validate", ("--builtin", "curves")), ("project", ("--builtin", "curves")),
     ])
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_bad_k_on_word_commands(self, capsys, tmp_path, command, extra, k):
@@ -311,6 +311,46 @@ class TestCountArguments:
         code, out, err = run(capsys, command, "--builtin", "curves", "--n", "-1")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "--n must not be negative" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("lift", ("--k", "2")), ("validate", ("--format", "tsv")),
+        ("canon", ("--format", "tsv")), ("lift", ("--format", "tsv")),
+        ("project", ("--format", "tsv")),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, tmp_path, command, flag):
+        f = write(tmp_path, "p.txt", "proj: A=a\nphrase: A A\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, f, "--builtin", "curves", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestInputErrors:
+    """Errors the library raises reach stderr with exit 2 and no stdout."""
+
+    @pytest.mark.parametrize("command", ["invariants", "project"])
+    def test_lifted_phrase_needs_one_component(self, capsys, tmp_path, command):
+        f = write(tmp_path, "w.txt", "proj: A=a_1_2 B=a_1_1\nphrase: A B | B A\n")
+        code, out, err = run(capsys, command, f, "--builtin", "curves", "--k", "2")
+        assert (code, out) == (2, "") and "expected a one-component word" in err
+
+    def test_equiv_of_a_phrase_and_a_lifted_word(self, capsys, tmp_path):
+        f1 = write(tmp_path, "a.txt", "proj: A=a\nphrase: A A\n")
+        f2 = write(tmp_path, "b.txt", "proj: A=a_1_1\nphrase: A A\n")
+        code, out, err = run(capsys, "equiv", f1, f2, "--builtin", "curves")
+        assert (code, out) == (2, "") and "different move systems" in err
+
+    def test_equiv_letter_budget_below_the_inputs(self, capsys, tmp_path):
+        f1 = write(tmp_path, "a.txt", "proj: A=a B=a\nphrase: A B A B\n")
+        f2 = write(tmp_path, "b.txt", "phrase:\n")
+        code, out, err = run(capsys, "equiv", f1, f2, "--builtin", "curves",
+                             "--max-letters", "1")
+        assert (code, out) == (2, "") and "--max-letters must be at least 2" in err
+
+    def test_classify_letter_budget_below_n(self, capsys):
+        code, out, err = run(capsys, "classify", "--builtin", "curves", "--n", "2",
+                             "--max-letters", "1")
+        assert (code, out) == (2, "") and "cover the enumeration" in err
 
 
 class TestBudgetVerdicts:

@@ -49,6 +49,11 @@ COMMANDS = [
       for name in BUILTIN_NAMES for k in "12" for n in "01" for fmt in ("report", "tsv")),
     ["enumerate", "own.txt", "--n", "2"],
     ["classify", "own.txt", "--n", "1"],
+    *([command, *argv] for command in ("validate", "canon") for argv in (
+        ["square.txt", "--builtin", "curves"],
+        ["lifted.txt", "--builtin", "curves", "--k", "2"],
+        ["ornament.txt", "--builtin", "ornaments", "--k", "2"],
+        ["own.txt"])),
     ["invariants", "square.txt", "--builtin", "curves"],
     ["invariants", "square.txt", "--builtin", "diagonal", "--format", "tsv"],
     ["invariants", "pair.txt", "--builtin", "links"],

@@ -5,6 +5,7 @@ import pytest
 
 from nanowords import (
     ALL_KINDS,
+    BUILTIN_NAMES,
     INSERTION_KINDS,
     MATCH_KINDS,
     CanonicalForm,
@@ -283,6 +284,20 @@ def test_form_sites_match_phrase_sites_on_enumerations(name, k):
     data = builtin_data(name)
     for form in _forms(data.base_alphabet, k, range(4)):
         _assert_form_sites_match(data.base_moves, form, form.n_letters + 2)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_default_kinds_are_every_kind(name):
+    # kinds=None asks for every kind; without a budget no insertion fits.
+    data = builtin_data(name, 2)
+    alphabet, moves = ((data.lifted.alphabet, data.lifted_moves) if name == "ornaments"
+                       else (data.base_alphabet, data.base_moves))
+    for n in range(4):
+        for phrase in enumerate_nanophrases(alphabet, n, 1):
+            assert find_move_sites(phrase, moves) == \
+                find_move_sites(phrase, moves, MATCH_KINDS), phrase
+            assert find_move_sites(phrase, moves, max_letters=n + 2) == \
+                find_move_sites(phrase, moves, ALL_KINDS, n + 2), phrase
 
 
 def _grown_forms(moves, k, count, seed):
