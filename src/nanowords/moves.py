@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import chain
 
 from .core import (
     AlphabetMismatch,
@@ -24,7 +24,6 @@ from .core import (
     NanowordError,
     Nanophrase,
     _encode_symbols,
-    _symbol_of,
     canonical_form,
     rank_letters,
 )
@@ -66,7 +65,8 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     phrase is a Nanophrase, a CanonicalForm or a form's key.  A form
     carries no alphabet and is read over moves.alphabet as
     form.to_phrase would build it, so its sites name letters by
-    rank_letters and replay on that phrase.
+    rank_letters and replay on that phrase.  A phrase is read through
+    its canonical form's key, with its own letter names.
 
     Sites come out grouped by kind in ALL_KINDS order; within a kind they
     ascend by positions, then gaps, then symbols.
@@ -77,80 +77,98 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     if isinstance(phrase, CanonicalForm):
         phrase = phrase.key
     if isinstance(phrase, str):
-        n = ord(phrase[0])
-        components = phrase[1:len(phrase) - n].split("\0")
+        key, names = phrase, rank_letters(ord(phrase[0]))
     elif moves.alphabet != phrase.alphabet:
         raise AlphabetMismatch("move system and phrase use different alphabets")
     else:
-        n, components = phrase.n_letters, phrase.components
-    wanted = set(ALL_KINDS if kinds is None else kinds)
-    sites = []
-    # partner[p] is the other occurrence of the letter at p; joined[p] says
-    # that p and p + 1 are adjacent in one component.  The first pair
-    # (i, i + 1) of a matched pattern names its partner pairs, so each kind
-    # has one candidate per adjacent pair, tested in O(1).  Only the
-    # matched kinds read them.
-    if not wanted.isdisjoint(MATCH_KINDS):
-        flat, comp_of, proj = (_key_layout(phrase, components) if isinstance(phrase, str)
-                               else (phrase.flat, phrase.comp_of, phrase.proj))
-        joined = [a == b for a, b in zip(comp_of, comp_of[1:])] + [False]
-        adj = [p for p, ok in enumerate(joined) if ok]
-        partner, first = [0] * len(flat), {}
-        for p, ltr in enumerate(flat):
-            other = first.setdefault(ltr, p)
-            partner[p], partner[other] = other, p
+        key, names = canonical_form(phrase).key, phrase.letters
+    matched, inserted, _q, _r = _sites(key, names, moves,
+                                       ALL_KINDS if kinds is None else kinds, max_letters)
+    return matched + list(inserted)
 
-    if "M1" in wanted:
-        for p in adj:
-            if flat[p] == flat[p + 1] and proj[flat[p]] in moves.q:
-                sites.append(MoveSite("M1", (p, p + 1), (flat[p],)))
 
-    if "M2" in wanted:
-        for i in adj:
-            j = partner[i + 1]
-            if j > i + 1 and joined[j] and partner[i] == j + 1:
-                a, b = flat[i], flat[i + 1]
-                if (proj[a], proj[b]) in moves.r:
-                    sites.append(MoveSite("M2", (i, i + 1, j, j + 1), (a, b)))
+def _sites(key, names, moves, kinds, max_letters):
+    # find_move_sites on a key, whose rank r letter is names[r - 1]: the
+    # matched sites, the insertion sites, and the codes of the symbols
+    # those insert ("" and [] when the kind is not asked for or does not
+    # fit), in site order.
+    #
+    # Matched sites are read off the packed ranks, at packed indices; a
+    # letter at index i sits at flat position i minus the boundaries
+    # before it.  Ranks count first occurrences, so the rank r letter
+    # first occurs at packed.find(chr(r)).  M1 is a letter doubled at its
+    # first occurrence.  The other kinds start with a pair xy whose y is a
+    # first occurrence, and the pair names the rest: M2 needs the later y
+    # followed by x, M3 the later x and the later y each followed by one
+    # z, M3inv the later y preceded by a z whose other occurrence comes
+    # after it and is followed by x.  So each letter is one candidate of
+    # every kind, tested in O(1); symbols are gated by their codes.
+    n = ord(key[0])
+    packed, codes = key[1:len(key) - n], key[len(key) - n:]
+    q_codes, r_codes, q_set, r_set, s_set = _coded(moves)
+    matched = []
+    if not _MATCH_SET.isdisjoint(kinds):
+        s, find = packed + "\0", packed.find  # s has a boundary after the last letter
+        letters = list(map(chr, range(1, n + 1)))
+        firsts, seconds = list(map(find, letters)), list(map(packed.rfind, letters))
+        m1, m2, m3, m3inv = [], [], [], []
 
-    if "M3" in wanted:
-        for i in adj:
-            j, l = partner[i], partner[i + 1]
-            if i + 1 < j < l - 1 and joined[j] and joined[l] and partner[j + 1] == l + 1:
-                a, b, c = flat[i], flat[i + 1], flat[j + 1]
-                if (proj[a], proj[b], proj[c]) in moves.s:
-                    sites.append(MoveSite("M3", (i, i + 1, j, j + 1, l, l + 1), (a, b, c)))
+        def at(i):
+            return i - packed.count("\0", 0, i)
 
-    if "M3inv" in wanted:
-        for i in adj:
-            j = partner[i + 1] - 1
-            if j <= i + 1:  # also keeps j from going negative
+        for b, f, l in zip(range(n), firsts, seconds):
+            # y (rank b + 1) occurs at f and l.  x precedes the first y, and
+            # z follows the second.
+            if l == f + 1 and codes[b] in q_set:  # yy
+                m1.append(MoveSite("M1", (at(f), at(f) + 1), (names[b],)))
+            x = s[f - 1]  # s[-1] is the final boundary
+            if x == "\0":
                 continue
-            l = partner[j]
-            if j < l - 1 and joined[j] and joined[l] and partner[i] == l + 1:
-                a, b, c = flat[i + 1], flat[i], flat[j]
-                if (proj[a], proj[b], proj[c]) in moves.s:
-                    sites.append(MoveSite("M3inv", (i, i + 1, j, j + 1, l, l + 1), (a, b, c)))
+            a, i, z = ord(x) - 1, f - 1, s[l + 1]
+            if z == x:  # xy..yx
+                if codes[a] + codes[b] in r_set:
+                    p, pl = at(i), at(l)
+                    m2.append(MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])))
+            elif z != "\0" and firsts[a] == i and seconds[a] < l - 1 and s[seconds[a] + 1] == z:
+                c = ord(z) - 1  # xy..xz..yz
+                if codes[a] + codes[b] + codes[c] in s_set:
+                    p, pj, pl = at(i), at(seconds[a]), at(l)
+                    m3.append(MoveSite("M3", (p, p + 1, pj, pj + 1, pl, pl + 1),
+                                       (names[a], names[b], names[c])))
+            j = l - 1
+            c = ord(s[j]) - 1
+            if j > f and c >= 0 and firsts[c] == j and s[seconds[c] + 1] == x:  # xy..zy..zx
+                if codes[b] + codes[a] + codes[c] in s_set:
+                    p, pj, pk = at(i), at(j), at(seconds[c])
+                    m3inv.append(MoveSite("M3inv", (p, p + 1, pj, pj + 1, pk, pk + 1),
+                                          (names[b], names[a], names[c])))
+        for kind, found in zip(MATCH_KINDS, (m1, m2, m3, m3inv)):
+            if found and kind in kinds:
+                matched += found
 
-    if max_letters is not None:
-        q = moves.q if "M1ins" in wanted and n + 1 <= max_letters else frozenset()
-        r = moves.r if "M2ins" in wanted and n + 2 <= max_letters else frozenset()
-        if q or r:
-            lengths = tuple(map(len, components))
-            small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
-            sites += (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
-    return sites
+    fits = max_letters is not None
+    q = moves.q if fits and "M1ins" in kinds and n + 1 <= max_letters else _NO_SYMBOLS
+    r = moves.r if fits and "M2ins" in kinds and n + 2 <= max_letters else _NO_SYMBOLS
+    inserted = ()
+    if q or r:
+        lengths = tuple(map(len, packed.split("\0")))
+        small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
+        inserted = (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
+    return matched, inserted, q_codes if q else "", r_codes if r else []
 
 
-def _key_layout(key, components):
-    # The flat letters, their component indices and the projections of
-    # CanonicalForm.from_key(key).to_phrase(...), without building it;
-    # components are the key's packed rank strings.
-    names = rank_letters(ord(key[0]))
-    flat = tuple(names[ord(ch) - 1] for comp in components for ch in comp)
-    comp_of = tuple(c for c, comp in enumerate(components) for _ in comp)
-    codes = key[len(key) - len(names):]
-    return flat, comp_of, dict(zip(names, map(_symbol_of.__getitem__, codes)))
+_MATCH_SET = frozenset(MATCH_KINDS)
+_NO_SYMBOLS = frozenset()
+
+
+@lru_cache(maxsize=32)
+def _coded(moves):
+    # Q, R and S as key codes: Q as one str and R as a list, each in the
+    # order of its insertion sites, then Q, R and S as sets.
+    q_codes = _encode_symbols(sorted(moves.q))
+    r_codes = [_encode_symbols(pair) for pair in sorted(moves.r)]
+    return (q_codes, r_codes, frozenset(q_codes), frozenset(r_codes),
+            frozenset(map(_encode_symbols, moves.s)))
 
 
 def _insertion_sites(lengths, q, r):
@@ -169,8 +187,6 @@ def _insertion_sites(lengths, q, r):
 # a few small shapes; the memo keeps at most 32 shapes of at most 16 gaps.
 _SHARED_MAX_GAPS = 16
 _shared_insertion_sites = lru_cache(maxsize=32)(_insertion_sites)
-# A few symbol tuples recur on every insertion site: encode each once.
-_site_codes = lru_cache(maxsize=256)(_encode_symbols)
 
 
 def _check_match(phrase, site, expected):
@@ -279,80 +295,108 @@ def _delete(phrase, positions, letters):
 def _expand(key, moves, max_letters, kinds=ALL_KINDS):
     """The (site, child key) pairs of find_move_sites(key, moves, kinds, max_letters).
 
-    Each child is built only when it is read, in site order.
-    """
-    return _form_children(key, find_move_sites(key, moves, kinds, max_letters))
-
-
-def _form_children(key, sites):
-    """Yield (site, child key) for each site of a form's key, built on the key.
-
-    Gives the keys of canonical_form(apply_move(phrase, site)) on the
-    key's form.to_phrase(...), without materializing a Nanophrase.  The
-    sites must come from find_move_sites on that key, so they are not
-    rechecked.  An insertion at packed index g gives its first new
-    letter the rank t = max(ranks before g) + 1; every rank at or above
-    t shifts by the number of new letters (one str.translate), and the
-    new letters and their codes are sliced in.
+    The children are the keys of canonical_form(apply_move(phrase, site))
+    on the key's form.to_phrase(...), built on the key without a
+    Nanophrase.  They come in site order, in batches: every matched
+    site's, then the M1ins children of each insertion rank, then the
+    M2ins children of each first gap.  A batch is built when its first
+    child is read, so a caller that stops early builds no later batch.
+    The result is an iterator; it keeps nothing once exhausted.
     """
     n = ord(key[0])
+    matched, inserted, q_codes, r_codes = _sites(key, rank_letters(n), moves, kinds,
+                                                 max_letters)
+    batches = _child_batches(key, matched, q_codes, r_codes)
+    return zip(chain(matched, inserted), chain.from_iterable(batches))
+
+
+def _child_batches(key, matched, q_codes, r_codes):
+    # Lists of child keys in site order: the matched sites', then each
+    # gap with each Q code, then each gap pair with each R code, gaps
+    # being the packed indices 0..len(packed).
+    #
+    # M1 and M2 delete their letters, which keeps the first-occurrence
+    # order: one translate drops their ranks and closes the gaps.  M3 and
+    # M3inv swap their three pairs, then one pass renumbers the ranks by
+    # first occurrence.
+    #
+    # An insertion at packed index g gives its first new letter the rank
+    # top + 1, top being the largest rank before g.  Every rank above top
+    # moves up by the number of new letters, and none stands before g; so
+    # a child is packed[:g], the new letters, the shifted packed string
+    # from g on, and the codes with the new ones after the first top.
+    # The gaps of one top share one shifted string and make one batch of
+    # M1ins children; M2ins children come in one batch per first gap.
+    n = ord(key[0])
     packed, codes = key[1:len(key) - n], key[len(key) - n:]
-    starts = [0] + [i + 1 for i, ch in enumerate(packed) if ch == "\0"]
-    prefix_max = list(accumulate(map(ord, packed), max, initial=0))
-    last_gaps = None
-    for site in sites:
-        gaps = site.gaps
-        if not gaps:
-            yield site, _relabel_matched(packed, codes, site)
-            continue
-        if gaps != last_gaps:
-            # Sites of one gap (or gap pair) differ only in their symbols,
-            # and come out next to each other: they share the key.
-            last_gaps = gaps
-            (c, o) = gaps[0]
-            g = starts[c] + o
-            t = prefix_max[g] + 1
-            new = chr(t)
-            if len(gaps) == 1:  # M1ins
-                shifted = packed.translate(_shift_table(n, t, 1))
-                head = chr(n + 1) + shifted[:g] + new + new + shifted[g:]
+    if matched:
+        flat = packed.replace("\0", "")
+        batch = []
+        for site in matched:
+            if site.kind in ("M1", "M2"):
+                a, b = ord(flat[site.positions[0]]), ord(flat[site.positions[1]])
+                a, b = (a, b) if a <= b else (b, a)
+                batch.append(chr(n - 1 - (a < b)) + packed.translate(_drop_table(n, a, b))
+                             + codes[:a - 1] + codes[a:b - 1] + codes[b:])
             else:
-                # M2ins.  Like apply_move, a second gap equal to the first
-                # puts the closing pair after the opening one.
-                (c2, o2) = gaps[1]
-                g2 = starts[c2] + o2
-                shifted = packed.translate(_shift_table(n, t, 2))
-                partner = chr(t + 1)
-                head = (chr(n + 2) + shifted[:g] + new + partner + shifted[g:g2]
-                        + partner + new + shifted[g2:])
-            head, tail = head + codes[:t - 1], codes[t - 1:]
-        yield site, head + _site_codes(site.symbols) + tail
+                batch.append(_transposed(n, packed, codes, site))
+        yield batch
+    if not (q_codes or r_codes):
+        return
+    # The gaps of top t are range(bounds[t], bounds[t + 1]): the rank t
+    # letter first occurs just before bounds[t].  shifted(by)[top] is the
+    # packed string with every rank above top moved up by `by`.
+    bounds = [0, *[packed.find(chr(r)) + 1 for r in range(1, n + 1)], len(packed) + 1]
+
+    def shifted(by):
+        out = [packed]
+        for r in range(n, 0, -1):
+            out.append(out[-1].replace(chr(r), chr(r + by)))
+        return out[::-1]
+
+    if q_codes:
+        lead = chr(n + 1) + packed
+        for top, moved in enumerate(shifted(1)):
+            new = chr(top + 1) * 2
+            parts = [codes[:top] + c + codes[top:] for c in q_codes]
+            yield [head + part for g in range(bounds[top], bounds[top + 1])
+                   for head in (lead[:g + 1] + new + moved[g:],) for part in parts]
+    if r_codes:
+        # Like apply_move, a second gap equal to the first puts the closing
+        # pair after the opening one.  head[:g2 + 3] is everything before
+        # the closing pair at g2, and ends[g2 - g0] everything after it but
+        # the codes.
+        lead, end = chr(n + 2) + packed, len(packed) + 1
+        for top, moved in enumerate(shifted(2)):
+            g0, opening = bounds[top], chr(top + 1) + chr(top + 2)
+            ends = [opening[::-1] + moved[g2:] for g2 in range(g0, end)]
+            parts = [codes[:top] + c + codes[top:] for c in r_codes]
+            for g in range(g0, bounds[top + 1]):
+                head = lead[:g + 1] + opening + moved[g:]
+                yield [body + part for g2 in range(g, end)
+                       for body in (head[:g2 + 3] + ends[g2 - g0],) for part in parts]
 
 
-@lru_cache(maxsize=128)
-def _shift_table(n, t, by):
-    # str.translate table on ranks 0..n: ranks at or above t move up by
-    # `by`; the separator and lower ranks stay.
-    return tuple(range(t)) + tuple(range(t + by, n + 1 + by))
-
-
-def _relabel_matched(packed, codes, site):
-    # M1/M2 drop their positions, M3/M3inv swap their three pairs; then
-    # one pass renumbers the ranks by first occurrence.
+def _transposed(n, packed, codes, site):
+    # The child key of an M3 or M3inv site: its three pairs swapped, then
+    # the ranks renumbered by first occurrence.
     chars = list(packed)
     at = [i for i, ch in enumerate(packed) if ch != "\0"]
-    if site.kind in ("M1", "M2"):
-        for p in reversed(site.positions):
-            del chars[at[p]]
-    else:
-        for p in site.positions[::2]:
-            i = at[p]
-            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    for p in site.positions[::2]:
+        i = at[p]
+        chars[i], chars[i + 1] = chars[i + 1], chars[i]
     moved = "".join(chars)
     order = dict.fromkeys(moved.replace("\0", ""))
     relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
-    return (chr(len(order)) + moved.translate(relabel)
+    return (chr(n) + moved.translate(relabel)
             + "".join([codes[ord(ch) - 1] for ch in order]))
+
+
+@lru_cache(maxsize=1024)
+def _drop_table(n, a, b):
+    # str.translate table on ranks 0..n that deletes ranks a <= b and
+    # moves the ranks above them down; the separator stays.
+    return tuple(None if r in (a, b) else r - (r > a) - (a < b < r) for r in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -402,9 +446,10 @@ class NeighborCache:
     Neighbors are cached per (form key, slack), where slack = min(2,
     max_letters - n) is how many letters an insertion may add, so only
     children inside the budget are built and one cache stays correct
-    across searches with different budgets.  Each list is _expand's,
-    stored whole.  A budget below the form's letter count is rejected
-    with ValueError, as `equivalent` and `classify` reject it.
+    across searches with different budgets.  Each list is _expand's
+    whole sequence of (site, child key) pairs, built at the first miss.
+    A budget below the form's letter count is rejected with ValueError,
+    as `equivalent` and `classify` reject it.
     """
 
     def __init__(self, moves):
@@ -443,8 +488,10 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     UNKNOWN when max_states was hit first or the budget cut the closed
     set.
 
-    Without neighbor_cache, children are built lazily and kept nowhere;
-    callers running several searches may share one (same verdicts).
+    Without neighbor_cache, each state's children are built in batches
+    as the search reads them (see _expand), and no batch is built past
+    the child that meets the other side; nothing is kept.  Callers
+    running several searches may share one (same verdicts).
     """
     if phrase1.alphabet != phrase2.alphabet or moves.alphabet != phrase1.alphabet:
         raise AlphabetMismatch("equivalence needs a single shared alphabet")

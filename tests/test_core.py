@@ -29,7 +29,7 @@ from nanowords import (
     validate_nanophrase,
 )
 import nanowords
-from nanowords.moves import _form_children
+from nanowords.moves import _expand
 from conftest import ph
 
 
@@ -184,8 +184,10 @@ class TestCanonicalFormContract:
         moves = curves.base_moves
         parent = canonical_form(ph(curves.base_alphabet, "ABACBC|DEED",
                                    {"A": "a", "B": "a", "C": "a", "D": "a", "E": "b"}))
-        children = tuple((site, CanonicalForm.from_key(child)) for site, child in _form_children(
-            parent.key, find_move_sites(parent, moves, ALL_KINDS, parent.n_letters + 2)))
+        children = tuple((site, CanonicalForm.from_key(child)) for site, child in _expand(
+            parent.key, moves, parent.n_letters + 2))
+        assert [site for site, _child in children] == \
+            find_move_sites(parent, moves, ALL_KINDS, parent.n_letters + 2)
         assert {site.kind for site, _child in children} == set(ALL_KINDS) - {"M3inv"}
         phrase = parent.to_phrase(curves.base_alphabet)
         for site, child in children:
@@ -205,7 +207,9 @@ class TestCanonicalFormContract:
         matched = find_move_sites(parent, moves)
         assert matched == find_move_sites(phrase, moves)
         assert matched[0].letters == ("L300",)
-        for site, child in _form_children(parent.key, sites):
+        kernel = _expand(parent.key, moves, 301, ("M1ins",))
+        for site, (kernel_site, child) in zip(sites, kernel):
+            assert kernel_site == site
             child = CanonicalForm.from_key(child)
             reference = canonical_form(apply_move(phrase, site))
             assert child == reference and hash(child) == hash(reference)

@@ -28,7 +28,7 @@ from nanowords import (
 import nanowords.moves
 from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
-    _expand, _form_children
+    _expand
 from conftest import ph
 
 
@@ -453,8 +453,82 @@ def test_partner_pairs_across_components(diagonal, spec, expected):
     assert sites == _reference_matched_sites(p, diagonal.base_moves)
 
 
+def _kernel_words(moves, count, seed):
+    # Seeded phrases of 6 to 9 letters on 1 to 3 components, some of them
+    # left empty.  Even ones are walked from the empty phrase by moves
+    # whose gaps lie in a seeded set of open components: below target - 2
+    # letters only insertions, then any kind inside a budget of the
+    # target.  Odd ones are shuffled letter pairs with the three pairs of
+    # an M3 or M3inv pattern on an S member planted among them, cut into
+    # the open components.
+    rng = random.Random(f"kernel:{seed}")
+    symbols = sorted(moves.alphabet.symbols)
+    phrases = []
+    for index in range(count):
+        k, target = rng.randint(1, 3), rng.randint(6, 9)
+        open_components = sorted(rng.sample(range(k), rng.randint(1, k)))
+        if index % 2:
+            letters = [f"L{i}" for i in range(target - 3)] * 2
+            rng.shuffle(letters)
+            proj = {ltr: rng.choice(symbols) for ltr in letters}
+            proj.update(zip("XYZ", rng.choice(sorted(moves.s))))
+            planted = [("X", "Y"), ("X", "Z"), ("Y", "Z")] if index % 4 == 1 else \
+                [("Y", "X"), ("Z", "X"), ("Z", "Y")]
+            for at, pair in zip(sorted(rng.choices(range(len(letters) + 1), k=3), reverse=True),
+                                planted[::-1]):
+                letters[at:at] = pair
+            cuts = sorted(rng.choices(range(2 * target + 1), k=len(open_components) - 1))
+            comps = [[] for _ in range(k)]
+            for c, start, stop in zip(open_components, [0, *cuts], [*cuts, 2 * target]):
+                comps[c] = letters[start:stop]
+            phrases.append(Nanophrase(moves.alphabet, comps, proj))
+            continue
+        phrase = Nanophrase(moves.alphabet, [()] * k, {})
+        steps = 0
+        while steps < 3 * target or phrase.n_letters < 6:
+            kinds = ALL_KINDS if phrase.n_letters >= target - 2 else INSERTION_KINDS
+            sites = [s for s in find_move_sites(phrase, moves, (rng.choice(kinds),), target)
+                     if all(c in open_components for c, _o in s.gaps)]
+            if sites:
+                phrase = apply_move(phrase, rng.choice(sites))
+            steps += 1
+        phrases.append(phrase)
+    return phrases
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "ornaments-lifted"])
+def test_kernel_matches_the_reference_on_grown_words(name):
+    # _expand on a key against find_move_sites on form.to_phrase, then
+    # apply_move and canonical_form, at budgets n..n+2, for every kind and
+    # for each kind alone; and the key's matched sites against the old
+    # pair and triple scans, on the key and on the phrase.
+    data = builtin_data("ornaments", 2) if name == "ornaments-lifted" else builtin_data(name)
+    moves = data.lifted_moves if name == "ornaments-lifted" else data.base_moves
+    counts, empty = Counter(), 0
+    for phrase in _kernel_words(moves, 12, name):
+        form = canonical_form(phrase)
+        named = form.to_phrase(moves.alphabet)
+        reference = _reference_matched_sites(named, moves)
+        assert find_move_sites(form.key, moves, MATCH_KINDS) == reference, form
+        assert find_move_sites(phrase, moves, MATCH_KINDS) == \
+            _reference_matched_sites(phrase, moves), phrase
+        every = [(s, canonical_form(apply_move(named, s)))
+                 for s in find_move_sites(named, moves, ALL_KINDS, form.n_letters + 2)]
+        for max_letters in range(form.n_letters, form.n_letters + 3):
+            expected = [(s, c) for s, c in every if c.n_letters <= max_letters]
+            assert _wrapped(_expand(form.key, moves, max_letters)) == expected, \
+                (form, max_letters)
+            for kind in ALL_KINDS:
+                assert _wrapped(_expand(form.key, moves, max_letters, (kind,))) == \
+                    [(s, c) for s, c in expected if s.kind == kind], (form, max_letters, kind)
+        counts.update(s.kind for s, _c in every)
+        empty += not all(phrase.components)
+    # Every kind occurs, and some words have an empty component.
+    assert empty and set(counts) == set(ALL_KINDS), (counts, empty)
+
+
 class TestFormKernel:
-    """The int kernel on hand-checked insertions, against the reference."""
+    """The key kernel on hand-checked insertions, against the reference."""
 
     @staticmethod
     def _child(moves, spec, proj, kind, gaps, symbols):
@@ -462,7 +536,8 @@ class TestFormKernel:
         phrase = form.to_phrase(moves.alphabet)
         (site,) = [s for s in find_move_sites(phrase, moves, (kind,), form.n_letters + 2)
                    if s.gaps == gaps and s.symbols == symbols]
-        ((_site, child),) = _wrapped(_form_children(form.key, (site,)))
+        ((_site, child),) = _wrapped(
+            (s, c) for s, c in _expand(form.key, moves, form.n_letters + 2, (kind,)) if s == site)
         assert child == canonical_form(apply_move(phrase, site))
         return child
 
