@@ -47,11 +47,8 @@ from .lift import (
     phi,
     psi,
 )
+from .kernel import ALL_KINDS, INSERTION_KINDS, MATCH_KINDS, MoveSite
 from .moves import (
-    ALL_KINDS,
-    INSERTION_KINDS,
-    MATCH_KINDS,
-    MoveSite,
     NeighborCache,
     PathStep,
     StaleSite,

@@ -17,8 +17,9 @@ from itertools import combinations, groupby
 from .core import (Alphabet, CanonicalForm, ConsistencyError, MoveSystem, canonical_form,
                    enumerate_nanophrases)
 from .invariants import invariant_lines
+from .kernel import _expand
 from .lift import LiftedAlphabet
-from .moves import _budget_cut, _expand
+from .moves import _budget_cut
 
 _form = CanonicalForm.from_key  # closures hold keys; forms leave them
 
