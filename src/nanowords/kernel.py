@@ -61,36 +61,30 @@ def _sites(key, names, moves, kinds, max_letters):
         letters = list(map(chr, range(1, n + 1)))
         firsts, seconds = list(map(find, letters)), list(map(packed.rfind, letters))
         m1, m2, m3, m3inv = [], [], [], []
-
-        def at(i):
-            return i - packed.count("\0", 0, i)
-
         for b, f, l in zip(range(n), firsts, seconds):
-            # y (rank b + 1) occurs at f and l.  x precedes the first y, and
-            # z follows the second.
+            # y (rank b + 1) occurs at f and l; x precedes the first y and
+            # z follows the second.  A later x or z found at a second
+            # occurrence fails the test after it, so no test asks which.
             if l == f + 1 and codes[b] in q_set:  # yy
-                m1.append(MoveSite("M1", (at(f), at(f) + 1), (names[b],)))
+                p = f - packed.count("\0", 0, f)
+                m1.append(MoveSite("M1", (p, p + 1), (names[b],)))
             x = s[f - 1]  # s[-1] is the final boundary
             if x == "\0":
                 continue
-            a, i, z = ord(x) - 1, f - 1, s[l + 1]
+            a, z = ord(x) - 1, s[l + 1]
             if z == x:  # xy..yx
                 if codes[a] + codes[b] in r_set:
-                    p, pl = at(i), at(l)
+                    p, pl = f - 1 - packed.count("\0", 0, f), l - packed.count("\0", 0, l)
                     m2.append(MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])))
-            elif z != "\0" and firsts[a] == i and seconds[a] < l - 1 and s[seconds[a] + 1] == z:
-                c = ord(z) - 1  # xy..xz..yz
+            elif z != "\0" and seconds[a] < l - 1 and s[seconds[a] + 1] == z:  # xy..xz..yz
+                c = ord(z) - 1
                 if codes[a] + codes[b] + codes[c] in s_set:
-                    p, pj, pl = at(i), at(seconds[a]), at(l)
-                    m3.append(MoveSite("M3", (p, p + 1, pj, pj + 1, pl, pl + 1),
-                                       (names[a], names[b], names[c])))
-            j = l - 1
-            c = ord(s[j]) - 1
-            if j > f and c >= 0 and firsts[c] == j and s[seconds[c] + 1] == x:  # xy..zy..zx
+                    m3.append(_triple("M3", packed, (f - 1, seconds[a], l), names, (a, b, c)))
+            c = ord(s[l - 1]) - 1
+            if l > f + 1 and c >= 0 and s[seconds[c] + 1] == x:  # xy..zy..zx
                 if codes[b] + codes[a] + codes[c] in s_set:
-                    p, pj, pk = at(i), at(j), at(seconds[c])
-                    m3inv.append(MoveSite("M3inv", (p, p + 1, pj, pj + 1, pk, pk + 1),
-                                          (names[b], names[a], names[c])))
+                    m3inv.append(_triple("M3inv", packed, (f - 1, l - 1, seconds[c]), names,
+                                         (b, a, c)))
         for kind, found in zip(MATCH_KINDS, (m1, m2, m3, m3inv)):
             if found and kind in kinds:
                 matched += found
@@ -108,6 +102,12 @@ def _sites(key, names, moves, kinds, max_letters):
 
 _MATCH_SET = frozenset(MATCH_KINDS)
 _NO_SYMBOLS = frozenset()
+
+
+def _triple(kind, packed, starts, names, ranks):
+    # An M3 or M3inv site on the pairs at packed indices `starts`.
+    flat = [p for i in starts for p in (i - packed.count("\0", 0, i),) for p in (p, p + 1)]
+    return MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks]))
 
 
 @lru_cache(maxsize=32)
