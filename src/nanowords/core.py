@@ -183,13 +183,12 @@ class Nanophrase:
 
     Values are immutable after construction; all operations on them are
     pure functions returning new phrases.  `_profiles` memoises the
-    interleaving profile table of `invariants` and `_form` the canonical
-    form; each is filled on first use, and filling it twice gives an
-    equal value.
+    interleaving profile table of `invariants`; it is filled on first
+    use, and filling it twice gives the same table.
     """
 
     __slots__ = ("alphabet", "components", "proj", "letters", "flat", "comp_of", "_occ",
-                 "_profiles", "_form")
+                 "_profiles")
 
     def __init__(self, alphabet, components, proj, validate=True):
         components = tuple(tuple(comp) for comp in components)
@@ -220,7 +219,7 @@ class Nanophrase:
         self.letters = tuple(letters)
         self._occ = occ
         self.proj = {ltr: proj[ltr] for ltr in letters}
-        self._profiles = self._form = None
+        self._profiles = None
 
     def _with_proj(self, proj):
         """A phrase sharing this one's word structure, with its own projection.
@@ -236,7 +235,7 @@ class Nanophrase:
         phrase.letters = self.letters
         phrase._occ = self._occ
         phrase.proj = proj
-        phrase._profiles = phrase._form = None
+        phrase._profiles = None
         return phrase
 
     @property
@@ -376,17 +375,11 @@ def rank_letters(n):
 
 
 def canonical_form(phrase):
-    """Relabel letters by first occurrence; preserves boundaries and projections.
-
-    The form is built once per phrase and kept in its `_form` slot.
-    """
-    form = phrase._form
-    if form is None:
-        rank = {ltr: chr(r) for r, ltr in enumerate(phrase.letters, 1)}.__getitem__
-        packed = "\0".join("".join(map(rank, comp)) for comp in phrase.components)
-        codes = _encode_symbols([*map(phrase.proj.__getitem__, phrase.letters)])
-        phrase._form = form = CanonicalForm.from_key(chr(len(phrase.letters)) + packed + codes)
-    return form
+    """Relabel letters by first occurrence; preserves boundaries and projections."""
+    rank = {ltr: chr(r) for r, ltr in enumerate(phrase.letters, 1)}.__getitem__
+    packed = "\0".join("".join(map(rank, comp)) for comp in phrase.components)
+    codes = _encode_symbols([*map(phrase.proj.__getitem__, phrase.letters)])
+    return CanonicalForm.from_key(chr(len(phrase.letters)) + packed + codes)
 
 
 def validate_nanophrase(alphabet, components, proj):

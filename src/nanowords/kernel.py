@@ -40,7 +40,8 @@ def _sites(key, names, moves, kinds, max_letters):
     # find_move_sites on a key, whose rank r letter is names[r - 1]: the
     # matched sites, the insertion sites, and the codes of the symbols
     # those insert ("" and [] when the kind is not asked for or does not
-    # fit), in site order.
+    # fit), in site order.  moves.find_move_sites scans a phrase by
+    # another rule and must give the same sites.
     #
     # Matched sites are read off the packed ranks, at packed indices; a
     # letter at index i sits at flat position i minus the boundaries
@@ -89,15 +90,22 @@ def _sites(key, names, moves, kinds, max_letters):
             if found and kind in kinds:
                 matched += found
 
+    inserted, q, r = _inserted(n, packed.split("\0"), moves, kinds, max_letters)
+    return matched, inserted, q_codes if q else "", r_codes if r else []
+
+
+def _inserted(n, components, moves, kinds, max_letters):
+    # The insertion sites of a word of n letters in these components,
+    # with the Q and R they draw on (empty when the kind is not asked for
+    # or the budget leaves no room).
     fits = max_letters is not None
     q = moves.q if fits and "M1ins" in kinds and n + 1 <= max_letters else _NO_SYMBOLS
     r = moves.r if fits and "M2ins" in kinds and n + 2 <= max_letters else _NO_SYMBOLS
-    inserted = ()
-    if q or r:
-        lengths = tuple(map(len, packed.split("\0")))
-        small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
-        inserted = (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
-    return matched, inserted, q_codes if q else "", r_codes if r else []
+    if not (q or r):
+        return (), q, r
+    lengths = tuple(map(len, components))
+    small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
+    return (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r), q, r
 
 
 _MATCH_SET = frozenset(MATCH_KINDS)

@@ -215,18 +215,6 @@ class TestCanonicalFormContract:
             assert child == reference and hash(child) == hash(reference)
             assert max(map(max, child.pattern)) == 301
 
-    def test_a_phrase_keeps_its_form(self, ab_alphabet):
-        # The form is built once per phrase; a phrase sharing the word
-        # structure under another projection has its own, and a pickled
-        # phrase carries its form by symbols.
-        phrase = ph(ab_alphabet, "ABAB|CC", {"A": "a", "B": "b", "C": "a"})
-        form = canonical_form(phrase)
-        assert canonical_form(phrase) is form
-        assert form == CanonicalForm(((1, 2, 1, 2), (3, 3)), ("a", "b", "a"))
-        other = phrase._with_proj({"A": "b", "B": "b", "C": "a"})
-        assert canonical_form(other) == CanonicalForm(((1, 2, 1, 2), (3, 3)), ("b", "b", "a"))
-        assert canonical_form(pickle.loads(pickle.dumps(phrase))) == form
-
     def test_immutable(self):
         form = CanonicalForm(((1, 1),), ("a",))
         for name in ("packed", "proj_seq", "pattern", "other"):
