@@ -445,12 +445,19 @@ def test_matched_sites_match_the_reference_scans():
     ("AB|ACB|C", []),
     ("BAC|ACB", []),
     ("BACA|C|B", []),
+    # Both later occurrences end a component: the boundaries after them
+    # are no shared third letter.
+    ("AB|A|B", []),
+    ("AB|A|CB|C", []),
 ])
 def test_partner_pairs_across_components(diagonal, spec, expected):
     p = ph(diagonal.base_alphabet, spec, dict.fromkeys("ABC", "a"))
     sites = find_move_sites(p, diagonal.base_moves, MATCH_KINDS)
     assert [(s.kind, s.positions) for s in sites] == expected
     assert sites == _reference_matched_sites(p, diagonal.base_moves)
+    key = canonical_form(p).key
+    assert [(s.kind, s.positions) for s in find_move_sites(key, diagonal.base_moves,
+                                                           MATCH_KINDS)] == expected
 
 
 def _kernel_words(moves, count, seed):
