@@ -5,7 +5,9 @@ enumerated form that no earlier closure reached.  Inside the letter
 budget every move has its inverse (M1/M1ins, M2/M2ins, M3/M3inv, each
 gated by the same Q/R/S member), so one seed's closure is its whole
 class.  Each class is labelled with its guaranteed invariants, which
-must agree along every move.
+must agree along every move: every state's raw values are read off its
+key (invariants.key_reader) and compared with its seed's, and only the
+returned classes are rendered.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, groupby
 
 from .core import (Alphabet, CanonicalForm, ConsistencyError, MoveSystem, canonical_form,
                    enumerate_nanophrases)
-from .invariants import invariant_lines
+from .invariants import key_reader, render_rows
 from .kernel import _expand
 from .lift import LiftedAlphabet
 from .moves import _budget_cut
@@ -35,11 +37,6 @@ class SetContext:
     lifted: LiftedAlphabet
 
 
-def _set_invariant_key(ctx, key):
-    lines = invariant_lines(_form(key).to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)
-    return " ".join(f"{name}={value}" for name, value in lines)
-
-
 def classify(ctx, n_letters, max_letters, max_states):
     """Partition enumerated phrases by move closures inside the budgets.
 
@@ -48,7 +45,7 @@ def classify(ctx, n_letters, max_letters, max_states):
     certified when neither budget cut it, and then it is the whole
     class; two classes that share a key are an unknown pair unless one
     of them is certified.  Every state reached must carry its seed's
-    invariant key and belong to one closure only; otherwise
+    invariant values and belong to one closure only; otherwise
     ConsistencyError is raised.
     """
     if max_letters < n_letters:
@@ -56,13 +53,14 @@ def classify(ctx, n_letters, max_letters, max_states):
     seeds = list(dict.fromkeys(
         canonical_form(phrase).key for n in range(n_letters + 1)
         for phrase in enumerate_nanophrases(ctx.alphabet, n, ctx.k)))
-    home, keys, certified = {}, {}, {}
+    names, values_of = key_reader(ctx.alphabet, ctx.k, ctx.moves, ctx.lifted)
+    home, values, certified = {}, {}, {}
     truncated = False
     for seed in seeds:
         if seed in home:
             continue
         home[seed] = seed
-        keys[seed] = key = _set_invariant_key(ctx, seed)
+        values[seed] = value = values_of(seed)
         queue = deque([seed])
         cut = False
         while queue and not truncated:
@@ -71,7 +69,7 @@ def classify(ctx, n_letters, max_letters, max_states):
             for _site, child in _expand(state, ctx.moves, max_letters):
                 owner = home.get(child)
                 if owner is None:
-                    if _set_invariant_key(ctx, child) != key:
+                    if values_of(child) != value:
                         raise ConsistencyError(
                             f"move-connected states disagree on invariants: "
                             f"{_form(seed).serialize()!r} vs {_form(child).serialize()!r}")
@@ -93,7 +91,8 @@ def classify(ctx, n_letters, max_letters, max_states):
     classes = []
     for root, members in class_of.items():
         members.sort(key=lambda f: f.serialize())
-        classes.append((members[0], keys[root], members, certified[root]))
+        key = " ".join(f"{name}={text}" for name, text in render_rows(names, values[root]))
+        classes.append((members[0], key, members, certified[root]))
     classes.sort(key=lambda item: (item[1], item[0].serialize()))
 
     unknown_pairs = [(a[0], b[0]) for _key, group in groupby(classes, key=lambda c: c[1])

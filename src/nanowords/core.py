@@ -57,7 +57,7 @@ class Alphabet:
     """
 
     __slots__ = ("symbols", "orbits", "representatives", "n_free", "n_fixed",
-                 "tau_graph", "_tau", "_orbit_index", "_key", "_hash")
+                 "tau_graph", "_tau", "_orbit_index", "_epsilon", "_key", "_hash")
 
     def __init__(self, symbols, tau=None):
         symbols = tuple(symbols)
@@ -96,6 +96,7 @@ class Alphabet:
         self.n_free = len(free)
         self.n_fixed = len(fixed)
         self._orbit_index = {s: i + 1 for i, orbit in enumerate(self.orbits) for s in orbit}
+        self._epsilon = {s: 1 if s == orbit[0] else -1 for orbit in self.orbits for s in orbit}
         self._key = (symbols, tuple(sorted(full.items())))
         self._hash = hash(self._key)
 
@@ -112,8 +113,7 @@ class Alphabet:
 
     def epsilon(self, symbol):
         """+1 on orbit representatives and fixed points, -1 otherwise."""
-        orbit = self.orbits[self._orbit_index[symbol] - 1]
-        return 1 if len(orbit) == 1 or symbol == orbit[0] else -1
+        return self._epsilon[symbol]
 
     def __contains__(self, symbol):
         return symbol in self._tau

@@ -10,14 +10,12 @@ At the phrase level (pair deletions gated by the graph of tau):
   bucketed by their interleaving profile (the map (B_P)_j).
 * t_invariant: the per-component collapse of the same data.
 
-At the word level over a lifted alphabet the analogues read the
-component pair off each letter's subscripts instead of its positions;
-they agree with the phrase versions on flattened phrases and remain
-defined on words that no phrase produces.  Both levels read each letter
-as (symbol, i, j) and share one kernel: the profile table comes from a
-single pass over the interleaved letter pairs, and a phrase keeps its
-table, so So and T on one phrase cost one pass.  invariant_lines renders
-every guaranteed value from one read of the word's records.
+The word-level analogues over a lifted alphabet read the component
+pair off each letter's subscripts; they agree with the phrase versions
+on flattened phrases.  One engine computes every value from each
+letter's (symbol, i, j) record and one profile table.  Three adapters
+feed it: a phrase's letters, a lifted word's subscripts, and a
+canonical key's ranks and codes (key_reader, which builds no phrase).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import Alphabet, AlphabetMismatch, NanowordError
+from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of
 from .lift import _require_lifted_word
 
 
@@ -86,8 +84,7 @@ class PiElement:
                 terms.append(rep if e == 1 else f"{rep}^{e}")
         return " ".join(terms) or "1"
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 @dataclass(frozen=True)
@@ -135,8 +132,7 @@ class SigmaVector:
             return "0"
         return " ".join(f"{j}:({p},{q}):{c}" for (j, p, q), c in self.entries)
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 @dataclass(frozen=True)
@@ -157,8 +153,7 @@ class SoValue:
             parts.append(f"{j}: {body}")
         return "; ".join(parts)
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 def _interleaving(occ_x, occ_y):
@@ -222,19 +217,40 @@ def _lifted_parts(word, lifted):
     return [lifted.part(proj[ltr]) for ltr in word.letters]
 
 
-def _profile_table(word, alphabet, k, parts):
+def _key_parts(key, part):
+    """Letters, their occurrences and (symbol, i, j) records off a canonical key.
+
+    Letters are ranks 0..n-1 and occurrences packed indices, found as in
+    kernel._sites; these grow with flat positions, which is all
+    _profile_table compares.  i and j count the boundaries before them,
+    or come from `part` (LiftedAlphabet.part) at the word level.
+    """
+    n = ord(key[0])
+    packed = key[1:len(key) - n]
+    ranks = list(map(chr, range(1, n + 1)))
+    spans = list(zip(map(packed.find, ranks), map(packed.rfind, ranks)))
+    symbols = map(_symbol_of.__getitem__, key[len(key) - n:])
+    if part is None:
+        count = packed.count
+        parts = [(s, count("\0", 0, f) + 1, count("\0", 0, l) + 1)
+                 for s, (f, l) in zip(symbols, spans)]
+    else:
+        parts = list(map(part, symbols))
+    return range(n), spans.__getitem__, parts
+
+
+def _profile_table(alphabet, k, letters, occurrences, parts):
     """letter -> SigmaVector, from one pass over the interleaved letter pairs.
 
     A pair a < b in first-occurrence order interleaves when
     a1 < b1 < a2 < b2.  It adds epsilon(|b|) at b's second slot to a's
     profile and -epsilon(|a|) at a's first slot to b's: the entries that
     `sigma_table` lists for (a, b) and (b, a).  Since first occurrences
-    increase along `word.letters`, the scan for partners of a stops at
-    the first b with b1 > a2.
+    increase along `letters`, the scan for partners of a stops at the
+    first b with b1 > a2.
     """
-    letters = word.letters
     n = len(letters)
-    spans = list(map(word.occurrences, letters))
+    spans = list(map(occurrences, letters))
     orbit = [alphabet.orbit_index(s) for s, _i, _j in parts]
     eps = [alphabet.epsilon(s) for s, _i, _j in parts]
     second_slot = [j for _s, _i, j in parts]
@@ -268,7 +284,7 @@ def _profile_vectors(phrase, parts=None):
     """
     profiles = phrase._profiles
     if profiles is None:
-        profiles = _profile_table(phrase, phrase.alphabet, phrase.k,
+        profiles = _profile_table(phrase.alphabet, phrase.k, phrase.letters, phrase.occurrences,
                                   _phrase_parts(phrase) if parts is None else parts)
         phrase._profiles = profiles
     return profiles
@@ -307,10 +323,7 @@ def _census(alphabet, k, letters, parts, profiles):
 
 def so_phrase(phrase, moves):
     """The per-component signed census of single-component letters."""
-    _require_graph_tau(moves, phrase)
-    parts = _phrase_parts(phrase)
-    return _census(phrase.alphabet, phrase.k, phrase.letters, parts,
-                   _profile_vectors(phrase, parts))
+    return _word_values(phrase, moves, None, ("So",))[0]
 
 
 def _collapse(n_free, weighted):
@@ -337,9 +350,7 @@ def t_invariant(phrase, moves):
     single-component letters of that component, epsilon times the
     letter's interleaving counts summed across component slots.
     """
-    _require_graph_tau(moves, phrase)
-    parts = _phrase_parts(phrase)
-    return _t(phrase.alphabet, phrase.k, phrase.letters, parts, _profile_vectors(phrase, parts))
+    return _word_values(phrase, moves, None, ("T",))[0]
 
 
 def t_from_so(so_value, n_free):
@@ -352,7 +363,7 @@ def t_from_so(so_value, n_free):
     return tuple(_collapse(n_free, comp_map) for comp_map in so_value.maps)
 
 
-def _lk(alphabet, k, parts):
+def _lk(alphabet, k, _letters, parts, _profiles):
     """Per slot pair i<j, the product of the symbols of letters with slots (i, j)."""
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     exps = {pair: [0] * (alphabet.n_free + alphabet.n_fixed) for pair in pairs}
@@ -362,7 +373,7 @@ def _lk(alphabet, k, parts):
     return tuple(PiElement._make(alphabet, exps[pair]) for pair in pairs)
 
 
-def _clv(k, parts):
+def _clv(_alphabet, k, _letters, parts, _profiles):
     """Per slot, the parity of letters with two different slots touching it."""
     counts = [0] * k
     for _s, i, j in parts:
@@ -374,31 +385,27 @@ def _clv(k, parts):
 
 def lk_phrase(phrase, moves):
     """Products over cross-component letters, one per component pair i<j."""
-    _require_graph_tau(moves, phrase)
-    return _lk(phrase.alphabet, phrase.k, _phrase_parts(phrase))
+    return _word_values(phrase, moves, None, ("lk",))[0]
 
 
 def clv_phrase(phrase, moves):
     """Per component, the parity of letters with one occurrence elsewhere."""
-    _require_graph_tau(moves, phrase)
-    return _clv(phrase.k, _phrase_parts(phrase))
+    return _word_values(phrase, moves, None, ("clv",))[0]
 
 
 def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
-    parts = _lifted_parts(word, lifted)
-    return _census(lifted.base, lifted.k, word.letters, parts,
-                   _profile_table(word, lifted.base, lifted.k, parts))
+    return _word_values(word, None, lifted, ("So",))[0]
 
 
 def lk_lifted(word, lifted):
     """Subscript-pair products in the base abelianization, pairs i<j."""
-    return _lk(lifted.base, lifted.k, _lifted_parts(word, lifted))
+    return _word_values(word, None, lifted, ("lk",))[0]
 
 
 def clv_lifted(word, lifted):
     """Per component, the parity of off-diagonal letters touching it."""
-    return _clv(lifted.k, _lifted_parts(word, lifted))
+    return _word_values(word, None, lifted, ("clv",))[0]
 
 
 def phrase_invariants_applicable(moves):
@@ -438,35 +445,68 @@ def _tuple_text(values):
 
 # name -> (value from (alphabet, k, letters, parts, profiles), its rendering)
 _REGISTRY = {
-    "lk": (lambda alphabet, k, _letters, parts, _profiles: _lk(alphabet, k, parts),
-           _tuple_text),
-    "clv": (lambda _alphabet, k, _letters, parts, _profiles: _clv(k, parts), _tuple_text),
+    "lk": (_lk, _tuple_text),
+    "clv": (_clv, _tuple_text),
     "So": (_census, str),
     "T": (_t, lambda blocks: "; ".join(f"{j}: {b}" for j, b in enumerate(blocks, start=1))),
 }
+
+
+def _word_values(word, moves, lifted, names):
+    """The raw values of the named rows on a phrase, or a word over `lifted`.
+
+    The word's (symbol, i, j) records are read once, and its profile
+    table is built at most once (a phrase keeps it).
+    """
+    if lifted is None:
+        _require_graph_tau(moves, word)
+        base, k, parts = word.alphabet, word.k, _phrase_parts(word)
+        profiles = _profile_vectors(word, parts) if "So" in names or "T" in names else None
+    else:
+        base, k, parts = lifted.base, lifted.k, _lifted_parts(word, lifted)
+        profiles = (_profile_table(base, k, word.letters, word.occurrences, parts)
+                    if "So" in names else None)
+    return [_REGISTRY[name][0](base, k, word.letters, parts, profiles) for name in names]
 
 
 def invariant_lines(word, moves, lifted=None):
     """(name, rendered value) for every invariant the system guarantees.
 
     `lifted` selects the word level over that lifted alphabet; None
-    selects the phrase level.  The word's (symbol, i, j) records are read
-    once and its profile table is built at most once (a phrase keeps
-    it).  There are no rows when the system guarantees no invariant.
+    selects the phrase level.  There are no rows when the system
+    guarantees no invariant.
+    """
+    names = (phrase_invariants_applicable(moves) if lifted is None
+             else lifted_invariants_applicable(moves, lifted))
+    return render_rows(names, _word_values(word, moves, lifted, names)) if names else []
+
+
+def render_rows(names, values):
+    """invariant_lines' rows from the raw values of its named rows."""
+    return [(name, _REGISTRY[name][1](value)) for name, value in zip(names, values)]
+
+
+def key_reader(alphabet, k, moves, lifted=None):
+    """invariant_lines on canonical keys, as (names, values).
+
+    The keys are of phrases over `alphabet` with k components, or of
+    words over `lifted`.  values(key) is the tuple of raw row values, and
+    render_rows(names, values(key)) is invariant_lines on the key's
+    phrase, but no phrase is built.
     """
     if lifted is None:
-        names = phrase_invariants_applicable(moves)
-        if names:
-            _require_graph_tau(moves, word)
-            alphabet, k, parts = word.alphabet, word.k, _phrase_parts(word)
-            profiles = _profile_vectors(word, parts) if "So" in names else None
+        names, base, part = phrase_invariants_applicable(moves), alphabet, None
     else:
-        names = lifted_invariants_applicable(moves, lifted)
-        if names:
-            alphabet, k, parts = lifted.base, lifted.k, _lifted_parts(word, lifted)
-            profiles = _profile_table(word, alphabet, k, parts) if "So" in names else None
-    rows = []
-    for name in names:
-        value, render = _REGISTRY[name]
-        rows.append((name, render(value(alphabet, k, word.letters, parts, profiles))))
-    return rows
+        names, base, part = lifted_invariants_applicable(moves, lifted), lifted.base, lifted.part
+    if names and (alphabet != moves.alphabet or lifted is not None and k != 1):
+        raise AlphabetMismatch("keys must encode phrases over the move system's alphabet "
+                               "(words, when lifted)")
+    k = k if lifted is None else lifted.k
+    funcs, so = [_REGISTRY[name][0] for name in names], "So" in names
+
+    def values(key):
+        letters, occurrences, parts = _key_parts(key, part)
+        profiles = _profile_table(base, k, letters, occurrences, parts) if so else None
+        return tuple([func(base, k, letters, parts, profiles) for func in funcs])
+
+    return names, values

@@ -10,9 +10,12 @@ from nanowords import (
     builtin_data,
     canonical_form,
     enumerate_nanophrases,
+    phi,
 )
-from nanowords.classification import SetContext, _set_invariant_key, classify
+from nanowords.classification import SetContext, classify
 from nanowords.core import ConsistencyError
+from nanowords.invariants import invariant_lines
+from nanowords.kernel import _expand
 from nanowords.moves import NeighborCache
 import nanowords.classification
 from conftest import ph
@@ -61,7 +64,8 @@ def _reference_classify(ctx, n_letters, max_letters, max_states):
                     truncated = True
                     break
                 queue.append(child)
-    keys = {form: _set_invariant_key(ctx, form.key) for form in visited}
+    keys = {form: " ".join(f"{name}={value}" for name, value in invariant_lines(
+        form.to_phrase(ctx.alphabet), ctx.moves, ctx.lifted)) for form in visited}
     class_of = {}
     for seed in seeds:
         class_of.setdefault(find(seed), []).append(seed)
@@ -130,6 +134,17 @@ def test_invariant_change_along_a_move_raises(monkeypatch, curves):
         classify(ctx, 0, 2, 100)
 
 
+def test_a_row_that_moves_change_fails_the_gate(monkeypatch):
+    # clv replaced by the letter count, which M1 and M2 change: the first
+    # closure that deletes or inserts a letter meets a different value.
+    import nanowords.invariants as inv
+
+    monkeypatch.setitem(inv._REGISTRY, "clv",
+                        (lambda _alphabet, _k, letters, _parts, _profiles: len(letters), str))
+    with pytest.raises(ConsistencyError, match="disagree on invariants"):
+        classify(_context("curves", 1), 1, 3, 1000)
+
+
 def test_certified_closures_separate_same_key_classes():
     # With Q and R empty no move changes the letter count, so no closure
     # is cut by the letter budget: every class is complete, and classes
@@ -152,3 +167,53 @@ def test_cut_closures_leave_same_key_classes_unknown():
     assert not truncated
     same_key = [(a[0], b[0]) for a, b in combinations(classes, 2) if a[1] == b[1]]
     assert same_key and unknown == same_key
+
+
+def _lifted_partition(forms, data, max_letters):
+    """The forms grouped by the closure of phi(form) under the lifted moves, and its states."""
+    home, groups = {}, {}
+    for form in forms:
+        start = canonical_form(phi(form.to_phrase(data.base_alphabet), data.lifted)).key
+        if start not in home:
+            home[start] = start
+            queue = deque([start])
+            while queue:
+                for _site, child in _expand(queue.popleft(), data.lifted_moves, max_letters):
+                    if child not in home:
+                        home[child] = start
+                        queue.append(child)
+        groups.setdefault(home[start], set()).add(form)
+    return {frozenset(group) for group in groups.values()}, len(home)
+
+
+def _assert_phi_keeps_the_partition(name, k, n, classes, base_states, lifted_states):
+    # Base classes equal lifted classes through phi, within one letter
+    # budget: phi(p) and phi(q) are joined by lifted moves inside n + 2
+    # letters exactly when p and q are joined by base moves.  Nothing is
+    # certified (Q is not empty), so this compares the budgeted closures.
+    data = builtin_data(name, k)
+    ctx = SetContext(name, data.base_alphabet, k, data.base_moves, None)
+    seeds, base, _unknown, states, truncated = classify(ctx, n, n + 2, 10 ** 6)
+    assert not truncated and (len(base), states) == (classes, base_states)
+    lifted, reached = _lifted_partition(seeds, data, n + 2)
+    assert reached == lifted_states
+    assert lifted == {frozenset(members) for _rep, _key, members in base}
+
+
+@pytest.mark.parametrize("name,k,n,classes,base_states,lifted_states", [
+    ("curves", 2, 2, 25, 6_323, 21_715),
+    ("diagonal", 2, 3, 29, 6_020, 27_252),
+])
+def test_base_classes_are_lifted_classes_through_phi(name, k, n, classes, base_states,
+                                                     lifted_states):
+    _assert_phi_keeps_the_partition(name, k, n, classes, base_states, lifted_states)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,k,n,classes,base_states,lifted_states", [
+    ("links", 2, 2, 97, 82_749, 292_317),
+    ("curves", 2, 3, 291, 139_843, 622_611),
+])
+def test_base_classes_are_lifted_classes_through_phi_at_scale(name, k, n, classes, base_states,
+                                                              lifted_states):
+    _assert_phi_keeps_the_partition(name, k, n, classes, base_states, lifted_states)

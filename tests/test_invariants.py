@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nanowords import (
+    BUILTIN_NAMES,
     Alphabet,
     AlphabetMismatch,
+    CanonicalForm,
     LiftedAlphabet,
     MoveSystem,
+    NanowordError,
     Nanophrase,
     NonGraphR,
     PiElement,
     SigmaVector,
     apply_move,
     builtin_data,
+    canonical_form,
     check_conditions,
     clv_lifted,
     clv_phrase,
@@ -38,8 +42,11 @@ from nanowords.invariants import (
     _profile_table,
     _profile_vectors,
     invariant_lines,
+    key_reader,
+    render_rows,
 )
-from conftest import ph
+from nanowords.kernel import _expand
+from conftest import grown_forms, ph
 
 
 class TestPiGroup:
@@ -349,7 +356,8 @@ def _check_phrase(phrase, moves):
 
 
 def _check_lifted(word, lifted):
-    profiles = _profile_table(word, lifted.base, lifted.k, _lifted_parts(word, lifted))
+    profiles = _profile_table(lifted.base, lifted.k, word.letters, word.occurrences,
+                              _lifted_parts(word, lifted))
     assert profiles == _reference_lifted_profiles(word, lifted)
     slots = [lifted.part(word.proj[ltr]) for ltr in word.letters]
     assert (lk_lifted(word, lifted), clv_lifted(word, lifted)) == \
@@ -488,3 +496,70 @@ def test_invariant_lines_without_guarantees_or_on_other_alphabets(curves, diagon
     assert invariant_lines(p, non_graph) == []
     with pytest.raises(AlphabetMismatch):
         invariant_lines(ph(curves.base_alphabet, "AA", {"A": "a"}), diagonal.base_moves)
+
+
+# The key reader against the phrase path: raw values against the public
+# functions, rendered rows against invariant_lines, on form.to_phrase.
+
+_PUBLIC = {"lk": (lk_phrase, lk_lifted), "clv": (clv_phrase, clv_lifted),
+           "So": (so_phrase, so_lifted), "T": (t_invariant, None)}
+
+
+def _key_level(name, k):
+    """(alphabet, components, moves, lifted) of a built-in's classify sets."""
+    data = builtin_data(name, k)
+    if name == "ornaments":
+        return data.lifted.alphabet, 1, data.lifted_moves, data.lifted
+    return data.base_alphabet, k, data.base_moves, None
+
+
+def _assert_key_reader(keys, alphabet, k, moves, lifted):
+    names, values = key_reader(alphabet, k, moves, lifted)
+    assert names
+    for key in keys:
+        phrase = CanonicalForm.from_key(key).to_phrase(alphabet)
+        got = values(key)
+        if lifted is None:
+            expected = tuple(_PUBLIC[name][0](phrase, moves) for name in names)
+        else:
+            expected = tuple(_PUBLIC[name][1](phrase, lifted) for name in names)
+        assert got == expected, CanonicalForm.from_key(key)
+        assert render_rows(names, got) == invariant_lines(phrase, moves, lifted)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_key_reader_matches_the_phrase_path_on_enumerations(name, k):
+    # Every phrase with n <= 3 letters, and every _expand child of those
+    # with n <= 2 inside n + 2 letters (children of three-letter phrases
+    # reach 10^5 to 10^6 forms on links and ornaments).
+    alphabet, comps, moves, lifted = _key_level(name, k)
+    keys = {}
+    for n in range(4):
+        for phrase in enumerate_nanophrases(alphabet, n, comps):
+            key = canonical_form(phrase).key
+            keys[key] = None
+            if n <= 2:
+                keys.update((child, None) for _site, child in _expand(key, moves, n + 2))
+    _assert_key_reader(keys, alphabet, comps, moves, lifted)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_key_reader_matches_the_phrase_path_on_grown_words(name, k):
+    alphabet, comps, moves, lifted = _key_level(name, k)
+    forms = grown_forms(moves, comps, 8, name)
+    assert max(form.n_letters for form in forms) >= 15
+    _assert_key_reader([form.key for form in forms], alphabet, comps, moves, lifted)
+
+
+def test_key_reader_rejects_keys_of_another_level(curves, diagonal):
+    with pytest.raises(AlphabetMismatch):
+        key_reader(curves.base_alphabet, 1, diagonal.base_moves)
+    ornaments = builtin_data("ornaments", 2)
+    with pytest.raises(NanowordError):
+        key_reader(ornaments.lifted.alphabet, 2, ornaments.lifted_moves, ornaments.lifted)
+    # A system that guarantees nothing reads no rows off any key.
+    alpha = Alphabet(("a",))
+    names, values = key_reader(alpha, 1, MoveSystem(alpha, q=("a",)))
+    assert names == () and values(canonical_form(ph(alpha, "AA", {"A": "a"})).key) == ()

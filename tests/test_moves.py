@@ -29,7 +29,7 @@ import nanowords.moves
 from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
     _expand
-from conftest import ph
+from conftest import grown_forms, ph
 
 
 def _sites(phrase, moves, kinds=None, max_letters=None):
@@ -300,29 +300,12 @@ def test_default_kinds_are_every_kind(name):
                 find_move_sites(phrase, moves, ALL_KINDS, n + 2), phrase
 
 
-def _grown_forms(moves, k, count, seed):
-    # Seeded words of 10 to 20 letters, grown from the empty phrase by
-    # random insertion moves.
-    rng = random.Random(f"grow:{seed}:{k}")
-    forms = []
-    for _ in range(count):
-        phrase = Nanophrase(moves.alphabet, [()] * k, {})
-        target = rng.randint(10, 20)
-        while phrase.n_letters < target:
-            kind = "M2ins" if target - phrase.n_letters >= 2 and rng.random() < 0.5 \
-                else "M1ins"
-            sites = find_move_sites(phrase, moves, (kind,), target)
-            phrase = apply_move(phrase, rng.choice(sites))
-        forms.append(canonical_form(phrase))
-    return forms
-
-
 @pytest.mark.parametrize("name", ["links", "curves", "diagonal"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_form_sites_match_phrase_sites_on_grown_words(name, k):
     data = builtin_data(name)
     moves = data.base_moves
-    forms = _grown_forms(moves, k, 6, name)
+    forms = grown_forms(moves, k, 6, name)
     for form in forms:
         _assert_form_sites_match(moves, form, form.n_letters + 1)
     # The kernel on those forms: every matched move and M1ins, in order.
