@@ -323,7 +323,10 @@ def _census(alphabet, k, letters, parts, profiles):
 
 def so_phrase(phrase, moves):
     """The per-component signed census of single-component letters."""
-    return _word_values(phrase, moves, None, ("So",))[0]
+    _require_graph_tau(moves, phrase)
+    parts = _phrase_parts(phrase)
+    return _census(phrase.alphabet, phrase.k, phrase.letters, parts,
+                   _profile_vectors(phrase, parts))
 
 
 def _collapse(n_free, weighted):
@@ -350,7 +353,9 @@ def t_invariant(phrase, moves):
     single-component letters of that component, epsilon times the
     letter's interleaving counts summed across component slots.
     """
-    return _word_values(phrase, moves, None, ("T",))[0]
+    _require_graph_tau(moves, phrase)
+    parts = _phrase_parts(phrase)
+    return _t(phrase.alphabet, phrase.k, phrase.letters, parts, _profile_vectors(phrase, parts))
 
 
 def t_from_so(so_value, n_free):
@@ -385,27 +390,31 @@ def _clv(_alphabet, k, _letters, parts, _profiles):
 
 def lk_phrase(phrase, moves):
     """Products over cross-component letters, one per component pair i<j."""
-    return _word_values(phrase, moves, None, ("lk",))[0]
+    _require_graph_tau(moves, phrase)
+    return _lk(phrase.alphabet, phrase.k, None, _phrase_parts(phrase), None)
 
 
 def clv_phrase(phrase, moves):
     """Per component, the parity of letters with one occurrence elsewhere."""
-    return _word_values(phrase, moves, None, ("clv",))[0]
+    _require_graph_tau(moves, phrase)
+    return _clv(None, phrase.k, None, _phrase_parts(phrase), None)
 
 
 def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
-    return _word_values(word, None, lifted, ("So",))[0]
+    parts = _lifted_parts(word, lifted)
+    return _census(lifted.base, lifted.k, word.letters, parts,
+                   _profile_table(lifted.base, lifted.k, word.letters, word.occurrences, parts))
 
 
 def lk_lifted(word, lifted):
     """Subscript-pair products in the base abelianization, pairs i<j."""
-    return _word_values(word, None, lifted, ("lk",))[0]
+    return _lk(lifted.base, lifted.k, None, _lifted_parts(word, lifted), None)
 
 
 def clv_lifted(word, lifted):
     """Per component, the parity of off-diagonal letters touching it."""
-    return _word_values(word, None, lifted, ("clv",))[0]
+    return _clv(None, lifted.k, None, _lifted_parts(word, lifted), None)
 
 
 def phrase_invariants_applicable(moves):
@@ -452,33 +461,36 @@ _REGISTRY = {
 }
 
 
-def _word_values(word, moves, lifted, names):
-    """The raw values of the named rows on a phrase, or a word over `lifted`.
-
-    The word's (symbol, i, j) records are read once, and its profile
-    table is built at most once (a phrase keeps it).
-    """
-    if lifted is None:
-        _require_graph_tau(moves, word)
-        base, k, parts = word.alphabet, word.k, _phrase_parts(word)
-        profiles = _profile_vectors(word, parts) if "So" in names or "T" in names else None
-    else:
-        base, k, parts = lifted.base, lifted.k, _lifted_parts(word, lifted)
-        profiles = (_profile_table(base, k, word.letters, word.occurrences, parts)
-                    if "So" in names else None)
-    return [_REGISTRY[name][0](base, k, word.letters, parts, profiles) for name in names]
+def _values(names, base, k, letters, occurrences, parts, profiles=None):
+    # The raw values of the named rows, from one word's records; the
+    # profile table is built here unless the caller kept one.
+    if profiles is None and "So" in names:
+        profiles = _profile_table(base, k, letters, occurrences, parts)
+    return tuple([_REGISTRY[name][0](base, k, letters, parts, profiles) for name in names])
 
 
 def invariant_lines(word, moves, lifted=None):
     """(name, rendered value) for every invariant the system guarantees.
 
     `lifted` selects the word level over that lifted alphabet; None
-    selects the phrase level.  There are no rows when the system
-    guarantees no invariant.
+    selects the phrase level.  The word's (symbol, i, j) records are read
+    once and its profile table is built at most once (a phrase keeps
+    it).  There are no rows when the system guarantees no invariant.
     """
-    names = (phrase_invariants_applicable(moves) if lifted is None
-             else lifted_invariants_applicable(moves, lifted))
-    return render_rows(names, _word_values(word, moves, lifted, names)) if names else []
+    if lifted is None:
+        names = phrase_invariants_applicable(moves)
+        if not names:
+            return []
+        _require_graph_tau(moves, word)
+        base, k, parts = word.alphabet, word.k, _phrase_parts(word)
+        profiles = _profile_vectors(word, parts) if "So" in names else None
+    else:
+        names = lifted_invariants_applicable(moves, lifted)
+        if not names:
+            return []
+        base, k, parts, profiles = lifted.base, lifted.k, _lifted_parts(word, lifted), None
+    return render_rows(names, _values(names, base, k, word.letters, word.occurrences, parts,
+                                      profiles))
 
 
 def render_rows(names, values):
@@ -498,15 +510,9 @@ def key_reader(alphabet, k, moves, lifted=None):
         names, base, part = phrase_invariants_applicable(moves), alphabet, None
     else:
         names, base, part = lifted_invariants_applicable(moves, lifted), lifted.base, lifted.part
-    if names and (alphabet != moves.alphabet or lifted is not None and k != 1):
-        raise AlphabetMismatch("keys must encode phrases over the move system's alphabet "
-                               "(words, when lifted)")
-    k = k if lifted is None else lifted.k
-    funcs, so = [_REGISTRY[name][0] for name in names], "So" in names
-
-    def values(key):
-        letters, occurrences, parts = _key_parts(key, part)
-        profiles = _profile_table(base, k, letters, occurrences, parts) if so else None
-        return tuple([func(base, k, letters, parts, profiles) for func in funcs])
-
-    return names, values
+        if names and k != 1:
+            raise NanowordError("expected keys of one-component words")
+        k = lifted.k
+    if names and alphabet != moves.alphabet:
+        raise AlphabetMismatch("move system and keys use different alphabets")
+    return names, lambda key: _values(names, base, k, *_key_parts(key, part))
