@@ -220,9 +220,9 @@ def _lifted_parts(word, lifted):
 def _key_parts(key, part):
     """Letters, their occurrences and (symbol, i, j) records off a canonical key.
 
-    Letters are ranks 0..n-1 and occurrences packed indices, found as in
-    kernel._sites; these grow with flat positions, which is all
-    _profile_table compares.  i and j count the boundaries before them,
+    Letters are 0..n-1 in rank order, and occurrences are packed indices
+    found as in kernel._sites; these grow with flat positions, which is
+    all _profile_table compares.  i and j count the boundaries before them,
     or come from `part` (LiftedAlphabet.part) at the word level.
     """
     n = ord(key[0])
