@@ -21,7 +21,7 @@ canonical key's ranks and codes (key_reader, which builds no phrase).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of
 from .lift import _require_lifted_word
@@ -94,38 +94,28 @@ class SigmaVector:
     Entries are keyed (component, p, q) by canonical orbit indices; the
     entry ring is the integers when both p and q index free orbits and
     Z/2 otherwise.  The type is (i) when every nonzero entry has p free,
-    (ii) when every one has p fixed, and (iii) otherwise.
+    (ii) when every one has p fixed, and (iii) otherwise; build stores
+    it, and it is None for the zero vector.
     """
 
-    n_free: int
-    k: int
     entries: tuple
+    type_class: str = field(default=None, compare=False)
 
     @classmethod
-    def build(cls, n_free, k, raw):
-        entries = []
+    def build(cls, n_free, raw):
+        entries, seen = [], 0  # seen: bit 1 for an entry with p free, bit 2 with p fixed
         for (j, p, q), coeff in raw.items():
             if p > n_free or q > n_free:
                 coeff %= 2
             if coeff:
                 entries.append(((j, p, q), coeff))
+                seen |= 2 if p > n_free else 1
         entries.sort()
-        return cls(n_free, k, tuple(entries))
+        return cls(tuple(entries), (None, "i", "ii", "iii")[seen])
 
     @property
     def is_zero(self):
         return not self.entries
-
-    @property
-    def type_class(self):
-        if not self.entries:
-            return None
-        ps = {p for (_j, p, _q), _c in self.entries}
-        if all(p <= self.n_free for p in ps):
-            return "i"
-        if all(p > self.n_free for p in ps):
-            return "ii"
-        return "iii"
 
     def render(self):
         if not self.entries:
@@ -239,7 +229,7 @@ def _key_parts(key, part):
     return range(n), spans.__getitem__, parts
 
 
-def _profile_table(alphabet, k, letters, occurrences, parts):
+def _profile_table(alphabet, letters, occurrences, parts):
     """letter -> SigmaVector, from one pass over the interleaved letter pairs.
 
     A pair a < b in first-occurrence order interleaves when
@@ -269,9 +259,8 @@ def _profile_table(alphabet, k, letters, occurrences, parts):
                 raw_b = raws[b]
                 key = (slot_a, pb, pa)
                 raw_b[key] = raw_b.get(key, 0) - ea
-    n_free = alphabet.n_free
-    zero = SigmaVector(n_free, k, ())
-    return {ltr: SigmaVector.build(n_free, k, raw) if raw else zero
+    n_free, zero = alphabet.n_free, SigmaVector(())
+    return {ltr: SigmaVector.build(n_free, raw) if raw else zero
             for ltr, raw in zip(letters, raws)}
 
 
@@ -284,7 +273,7 @@ def _profile_vectors(phrase, parts=None):
     """
     profiles = phrase._profiles
     if profiles is None:
-        profiles = _profile_table(phrase.alphabet, phrase.k, phrase.letters, phrase.occurrences,
+        profiles = _profile_table(phrase.alphabet, phrase.letters, phrase.occurrences,
                                   _phrase_parts(phrase) if parts is None else parts)
         phrase._profiles = profiles
     return profiles
@@ -335,7 +324,7 @@ def _collapse(n_free, weighted):
     for vec, weight in weighted:
         for (_j, p, q), coeff in vec.entries:
             raw[(1, p, q)] += weight * coeff
-    return SigmaVector.build(n_free, 1, raw)
+    return SigmaVector.build(n_free, raw)
 
 
 def _t(alphabet, k, letters, parts, profiles):
@@ -404,7 +393,7 @@ def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
     parts = _lifted_parts(word, lifted)
     return _census(lifted.base, lifted.k, word.letters, parts,
-                   _profile_table(lifted.base, lifted.k, word.letters, word.occurrences, parts))
+                   _profile_table(lifted.base, word.letters, word.occurrences, parts))
 
 
 def lk_lifted(word, lifted):
@@ -465,7 +454,7 @@ def _values(names, base, k, letters, occurrences, parts, profiles=None):
     # The raw values of the named rows, from one word's records; the
     # profile table is built here unless the caller kept one.
     if profiles is None and "So" in names:
-        profiles = _profile_table(base, k, letters, occurrences, parts)
+        profiles = _profile_table(base, letters, occurrences, parts)
     return tuple([_REGISTRY[name][0](base, k, letters, parts, profiles) for name in names])
 
 

@@ -37,7 +37,8 @@ class MoveSite:
 
 
 def _sites(key, names, moves, kinds, max_letters):
-    # find_move_sites on a key, whose rank r letter is names[r - 1]: the
+    # find_move_sites on a key, whose rank r letter is names[r - 1], with
+    # the child key of each matched site: the (site, child) pairs of the
     # matched sites, the insertion sites, and the codes of the symbols
     # those insert ("" and [] when the kind is not asked for or does not
     # fit), in site order.  moves.find_move_sites scans a phrase by
@@ -52,7 +53,8 @@ def _sites(key, names, moves, kinds, max_letters):
     # followed by x, M3 the later x and the later y each followed by one
     # z, M3inv the later y preceded by a z whose other occurrence comes
     # after it and is followed by x.  So each letter is one candidate of
-    # every kind, tested in O(1); symbols are gated by their codes.
+    # every kind, tested in O(1); symbols are gated by their codes.  Each
+    # child is built from the ranks and indices its test has just read.
     n = ord(key[0])
     packed, codes = key[1:len(key) - n], key[len(key) - n:]
     q_codes, r_codes, q_set, r_set, s_set = _coded(moves)
@@ -68,7 +70,8 @@ def _sites(key, names, moves, kinds, max_letters):
             # occurrence fails the test after it, so no test asks which.
             if l == f + 1 and codes[b] in q_set:  # yy
                 p = f - packed.count("\0", 0, f)
-                m1.append(MoveSite("M1", (p, p + 1), (names[b],)))
+                m1.append((MoveSite("M1", (p, p + 1), (names[b],)),
+                           _deleted(n, packed, codes, b, b)))
             x = s[f - 1]  # s[-1] is the final boundary
             if x == "\0":
                 continue
@@ -76,16 +79,18 @@ def _sites(key, names, moves, kinds, max_letters):
             if z == x:  # xy..yx
                 if codes[a] + codes[b] in r_set:
                     p, pl = f - 1 - packed.count("\0", 0, f), l - packed.count("\0", 0, l)
-                    m2.append(MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])))
+                    m2.append((MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])),
+                               _deleted(n, packed, codes, a, b)))
             elif z != "\0" and seconds[a] < l - 1 and s[seconds[a] + 1] == z:  # xy..xz..yz
                 c = ord(z) - 1
                 if codes[a] + codes[b] + codes[c] in s_set:
-                    m3.append(_triple("M3", packed, (f - 1, seconds[a], l), names, (a, b, c)))
+                    m3.append(_triple("M3", packed, codes, (f - 1, seconds[a], l), names,
+                                      (a, b, c)))
             c = ord(s[l - 1]) - 1
             if l > f + 1 and c >= 0 and s[seconds[c] + 1] == x:  # xy..zy..zx
                 if codes[b] + codes[a] + codes[c] in s_set:
-                    m3inv.append(_triple("M3inv", packed, (f - 1, l - 1, seconds[c]), names,
-                                         (b, a, c)))
+                    m3inv.append(_triple("M3inv", packed, codes, (f - 1, l - 1, seconds[c]),
+                                         names, (b, a, c)))
         for kind, found in zip(MATCH_KINDS, (m1, m2, m3, m3inv)):
             if found and kind in kinds:
                 matched += found
@@ -112,10 +117,28 @@ _MATCH_SET = frozenset(MATCH_KINDS)
 _NO_SYMBOLS = frozenset()
 
 
-def _triple(kind, packed, starts, names, ranks):
-    # An M3 or M3inv site on the pairs at packed indices `starts`.
+def _deleted(n, packed, codes, a, b):
+    # The child key of an M1 (a == b) or M2 (a < b) site on the letters of
+    # ranks a + 1 and b + 1.  Deleting letters keeps the first-occurrence
+    # order: one translate drops their ranks and closes the gaps.
+    return (chr(n - 1 - (a < b)) + packed.translate(_drop_table(n, a + 1, b + 1))
+            + codes[:a] + codes[a + 1:b] + codes[b + 1:])
+
+
+def _triple(kind, packed, codes, starts, names, ranks):
+    # An M3 or M3inv site on the pairs at packed indices `starts`, with its
+    # child key: the three pairs swapped, then the ranks renumbered by
+    # first occurrence.
     flat = [p for i in starts for p in (i - packed.count("\0", 0, i),) for p in (p, p + 1)]
-    return MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks]))
+    chars = list(packed)
+    for i in starts:
+        chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    moved = "".join(chars)
+    order = dict.fromkeys(moved.replace("\0", ""))
+    relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
+    child = (chr(len(codes)) + moved.translate(relabel)
+             + "".join([codes[ord(ch) - 1] for ch in order]))
+    return MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks])), child
 
 
 @lru_cache(maxsize=32)
@@ -151,28 +174,23 @@ def _expand(key, moves, max_letters, kinds=ALL_KINDS):
 
     The children are the keys of canonical_form(apply_move(phrase, site))
     on the key's form.to_phrase(...), built on the key without a
-    Nanophrase.  They come in site order, in batches: every matched
-    site's, then the M1ins children of each insertion rank, then the
-    M2ins children of each first gap.  A batch is built when its first
-    child is read, so a caller that stops early builds no later batch.
-    The result is an iterator; it keeps nothing once exhausted.
+    Nanophrase.  They come in site order: every matched site's, built
+    with its site, then the insertion children in batches, the M1ins
+    children of each insertion rank and then the M2ins children of each
+    first gap.  A batch is built when its first child is read, so a
+    caller that stops early builds no later batch.  The result is an
+    iterator; it keeps nothing once exhausted.
     """
-    n = ord(key[0])
-    matched, inserted, q_codes, r_codes = _sites(key, rank_letters(n), moves, kinds,
+    matched, inserted, q_codes, r_codes = _sites(key, rank_letters(ord(key[0])), moves, kinds,
                                                  max_letters)
-    batches = _child_batches(key, matched, q_codes, r_codes)
-    return zip(chain(matched, inserted), chain.from_iterable(batches))
+    batches = _child_batches(key, q_codes, r_codes)
+    return chain(matched, zip(inserted, chain.from_iterable(batches)))
 
 
-def _child_batches(key, matched, q_codes, r_codes):
-    # Lists of child keys in site order: the matched sites', then each
-    # gap with each Q code, then each gap pair with each R code, gaps
-    # being the packed indices 0..len(packed).
-    #
-    # M1 and M2 delete their letters, which keeps the first-occurrence
-    # order: one translate drops their ranks and closes the gaps.  M3 and
-    # M3inv swap their three pairs, then one pass renumbers the ranks by
-    # first occurrence.
+def _child_batches(key, q_codes, r_codes):
+    # Lists of insertion child keys in site order: each gap with each Q
+    # code, then each gap pair with each R code, gaps being the packed
+    # indices 0..len(packed).
     #
     # An insertion at packed index g gives its first new letter the rank
     # top + 1, top being the largest rank before g.  Every rank above top
@@ -183,20 +201,6 @@ def _child_batches(key, matched, q_codes, r_codes):
     # M1ins children; M2ins children come in one batch per first gap.
     n = ord(key[0])
     packed, codes = key[1:len(key) - n], key[len(key) - n:]
-    if matched:
-        flat = packed.replace("\0", "")
-        batch = []
-        for site in matched:
-            if site.kind in ("M1", "M2"):
-                a, b = ord(flat[site.positions[0]]), ord(flat[site.positions[1]])
-                a, b = (a, b) if a <= b else (b, a)
-                batch.append(chr(n - 1 - (a < b)) + packed.translate(_drop_table(n, a, b))
-                             + codes[:a - 1] + codes[a:b - 1] + codes[b:])
-            else:
-                batch.append(_transposed(n, packed, codes, site))
-        yield batch
-    if not (q_codes or r_codes):
-        return
     # The gaps of top t are range(bounds[t], bounds[t + 1]): the rank t
     # letter first occurs just before bounds[t].  shifted(by)[top] is the
     # packed string with every rank above top moved up by `by`.
@@ -229,21 +233,6 @@ def _child_batches(key, matched, q_codes, r_codes):
                 head = lead[:g + 1] + opening + moved[g:]
                 yield [body + part for g2 in range(g, end)
                        for body in (head[:g2 + 3] + ends[g2 - g0],) for part in parts]
-
-
-def _transposed(n, packed, codes, site):
-    # The child key of an M3 or M3inv site: its three pairs swapped, then
-    # the ranks renumbered by first occurrence.
-    chars = list(packed)
-    at = [i for i, ch in enumerate(packed) if ch != "\0"]
-    for p in site.positions[::2]:
-        i = at[p]
-        chars[i], chars[i + 1] = chars[i + 1], chars[i]
-    moved = "".join(chars)
-    order = dict.fromkeys(moved.replace("\0", ""))
-    relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
-    return (chr(n) + moved.translate(relabel)
-            + "".join([codes[ord(ch) - 1] for ch in order]))
 
 
 @lru_cache(maxsize=1024)

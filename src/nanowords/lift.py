@@ -251,8 +251,6 @@ def builtin_data(name, k=1):
     diagonal: the one-symbol alphabet {a} with tau = id and {(a,a,a)}.
     ornaments: the curves lift with the distinct-subscript triples removed.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if name == "curves" or name == "ornaments":
         base = Alphabet(("a", "b"), {"a": "b"})
         triples = _CURVES_TRIPLES

@@ -57,7 +57,7 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     if isinstance(phrase, str):
         matched, inserted, _q, _r = _sites(phrase, rank_letters(ord(phrase[0])), moves, wanted,
                                            max_letters)
-        return matched + list(inserted)
+        return [site for site, _child in matched] + list(inserted)
     if moves.alphabet != phrase.alphabet:
         raise AlphabetMismatch("move system and phrase use different alphabets")
     # A key is read by the expansion kernel; a phrase, which would first
@@ -305,10 +305,11 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     UNKNOWN when max_states was hit first or the budget cut the closed
     set.
 
-    Without neighbor_cache, each state's children are built in batches
-    as the search reads them (see _expand), and no batch is built past
-    the child that meets the other side; nothing is kept.  Callers
-    running several searches may share one (same verdicts).
+    Without neighbor_cache, each state's matched children are built
+    with its sites and its insertion children in batches as the search
+    reads them (see _expand), so no insertion batch is built past the
+    child that meets the other side; nothing is kept.  Callers running
+    several searches may share one (same verdicts).
     """
     if phrase1.alphabet != phrase2.alphabet or moves.alphabet != phrase1.alphabet:
         raise AlphabetMismatch("equivalence needs a single shared alphabet")

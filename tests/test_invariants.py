@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,7 @@ from nanowords import (
     t_invariant,
 )
 from nanowords.invariants import (
+    _collapse,
     _interleaving,
     _lifted_parts,
     _profile_table,
@@ -108,6 +110,22 @@ class TestSigma:
         p = ph(one_symbol, "AA", {"A": "a"})
         with pytest.raises(NonGraphR):
             sigma_table(p, moves)
+
+    @pytest.mark.parametrize("raw,entries,type_class", [
+        ({}, (), None),
+        ({(1, 1, 1): -2}, (((1, 1, 1), -2),), "i"),  # both orbits free: integers
+        ({(1, 1, 2): -3, (1, 1, 1): 1}, (((1, 1, 1), 1), ((1, 1, 2), 1)), "i"),
+        ({(1, 2, 1): 3, (1, 3, 3): 2}, (((1, 2, 1), 1),), "ii"),  # a fixed orbit: mod 2
+        ({(1, 3, 1): 1, (1, 1, 3): 5}, (((1, 1, 3), 1), ((1, 3, 1), 1)), "iii"),
+        ({(1, 1, 2): 4, (1, 2, 1): -2, (1, 3, 3): 6}, (), None),
+    ])
+    def test_build_reduces_entries_and_types_the_vector(self, raw, entries, type_class):
+        # Orbit 1 is free and orbits 2 and 3 are fixed.  _collapse feeds
+        # SigmaVector.build the summed entries of (vector, weight) pairs.
+        vec = _collapse(1, [(SimpleNamespace(entries=tuple(raw.items())), 1)])
+        assert (vec.entries, vec.type_class, vec.is_zero) == (entries, type_class, not entries)
+        assert vec.render() == (" ".join(f"{j}:({p},{q}):{c}" for (j, p, q), c in entries)
+                                or "0")
 
 
 class TestSoPhrase:
@@ -306,7 +324,7 @@ def _sigma_sum_profiles(phrase, moves):
     raws = {ltr: {} for ltr in phrase.letters}
     for (x, _y, j), (p, q, coeff) in sigma_table(phrase, moves).items():
         raws[x][(j, p, q)] = raws[x].get((j, p, q), 0) + coeff
-    return {ltr: SigmaVector.build(phrase.alphabet.n_free, phrase.k, raw)
+    return {ltr: SigmaVector.build(phrase.alphabet.n_free, raw)
             for ltr, raw in raws.items()}
 
 
@@ -329,7 +347,7 @@ def _reference_lifted_profiles(word, lifted):
             slot = jy if x_first else iy
             sign = base.epsilon(sy) * (1 if x_first else -1)
             raw[(slot, px, base.orbit_index(sy))] += sign
-        out[x] = SigmaVector.build(base.n_free, lifted.k, raw)
+        out[x] = SigmaVector.build(base.n_free, raw)
     return out
 
 
@@ -356,7 +374,7 @@ def _check_phrase(phrase, moves):
 
 
 def _check_lifted(word, lifted):
-    profiles = _profile_table(lifted.base, lifted.k, word.letters, word.occurrences,
+    profiles = _profile_table(lifted.base, word.letters, word.occurrences,
                               _lifted_parts(word, lifted))
     assert profiles == _reference_lifted_profiles(word, lifted)
     slots = [lifted.part(word.proj[ltr]) for ltr in word.letters]

@@ -294,6 +294,11 @@ class TestBuiltins:
             indices = {subs[0][1], subs[0][2], subs[1][2]}
             assert len(indices) < 3
 
+    @pytest.mark.parametrize("name", ["curves", "links", "diagonal", "ornaments"])
+    def test_k_below_one_is_rejected(self, name):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            builtin_data(name, 0)
+
     def test_ornaments_k2_removes_nothing(self):
         assert (builtin_data("ornaments", 2).lifted_moves.s
                 == builtin_data("curves", 2).lifted_moves.s)
