@@ -94,12 +94,12 @@ class SigmaVector:
     Entries are keyed (component, p, q) by canonical orbit indices; the
     entry ring is the integers when both p and q index free orbits and
     Z/2 otherwise.  The type is (i) when every nonzero entry has p free,
-    (ii) when every one has p fixed, and (iii) otherwise; build stores
-    it, and it is None for the zero vector.
+    (ii) when every one has p fixed, and (iii) otherwise; build computes
+    it from the entries, and it is None for the zero vector.
     """
 
     entries: tuple
-    type_class: str = field(default=None, compare=False)
+    type_class: str = field(compare=False)
 
     @classmethod
     def build(cls, n_free, raw):
@@ -259,7 +259,7 @@ def _profile_table(alphabet, letters, occurrences, parts):
                 raw_b = raws[b]
                 key = (slot_a, pb, pa)
                 raw_b[key] = raw_b.get(key, 0) - ea
-    n_free, zero = alphabet.n_free, SigmaVector(())
+    n_free, zero = alphabet.n_free, SigmaVector((), None)
     return {ltr: SigmaVector.build(n_free, raw) if raw else zero
             for ltr, raw in zip(letters, raws)}
 
