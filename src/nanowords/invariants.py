@@ -20,7 +20,6 @@ canonical key's ranks and codes (key_reader, which builds no phrase).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of
@@ -123,6 +122,9 @@ class SigmaVector:
         return " ".join(f"{j}:({p},{q}):{c}" for (j, p, q), c in self.entries)
 
     __str__ = render
+
+
+_ZERO = SigmaVector((), None)
 
 
 @dataclass(frozen=True)
@@ -239,29 +241,24 @@ def _profile_table(alphabet, letters, occurrences, parts):
     increase along `letters`, the scan for partners of a stops at the
     first b with b1 > a2.
     """
-    n = len(letters)
     spans = list(map(occurrences, letters))
-    orbit = [alphabet.orbit_index(s) for s, _i, _j in parts]
-    eps = [alphabet.epsilon(s) for s, _i, _j in parts]
-    second_slot = [j for _s, _i, j in parts]
-    raws = [{} for _ in range(n)]
-    for a in range(n):
-        a2 = spans[a][1]
-        raw_a, pa, ea, slot_a = raws[a], orbit[a], eps[a], parts[a][1]
-        for b in range(a + 1, n):
+    orbit, eps, raws = alphabet._orbit_index, alphabet._epsilon, {}
+    for a, (_a1, a2) in enumerate(spans):
+        for b in range(a + 1, len(spans)):
             b1, b2 = spans[b]
             if b1 > a2:
                 break
             if b2 > a2:
-                pb = orbit[b]
-                key = (second_slot[b], pa, pb)
-                raw_a[key] = raw_a.get(key, 0) + eps[b]
-                raw_b = raws[b]
-                key = (slot_a, pb, pa)
-                raw_b[key] = raw_b.get(key, 0) - ea
-    n_free, zero = alphabet.n_free, SigmaVector((), None)
-    return {ltr: SigmaVector.build(n_free, raw) if raw else zero
-            for ltr, raw in zip(letters, raws)}
+                (sa, slot_a, _ja), (sb, _ib, slot_b) = parts[a], parts[b]
+                pa, pb = orbit[sa], orbit[sb]
+                raw = raws.setdefault(a, {})
+                raw[slot_b, pa, pb] = raw.get((slot_b, pa, pb), 0) + eps[sb]
+                raw = raws.setdefault(b, {})
+                raw[slot_a, pb, pa] = raw.get((slot_a, pb, pa), 0) - eps[sa]
+    table = dict.fromkeys(letters, _ZERO)
+    for a, raw in raws.items():
+        table[letters[a]] = SigmaVector.build(alphabet.n_free, raw)
+    return table
 
 
 def _profile_vectors(phrase, parts=None):
@@ -279,35 +276,25 @@ def _profile_vectors(phrase, parts=None):
     return profiles
 
 
-def _bucketed_census(alphabet, members, profiles):
-    bucket = defaultdict(int)
-    for ltr, proj_sym in members:
-        vec = profiles[ltr]
-        if vec.is_zero or vec.type_class == "iii":
-            continue
-        bucket[vec] += alphabet.epsilon(proj_sym)
+def _bucketed_census(bucket):
+    # One component's SoValue map from its {vector: signed count}.
     entries = []
-    for vec, total in bucket.items():
-        if vec.type_class == "ii":
-            total %= 2
+    for vec in sorted(bucket, key=lambda vec: vec.entries):
+        total = bucket[vec] % 2 if vec.type_class == "ii" else bucket[vec]
         if total:
             entries.append((vec, total))
-    entries.sort(key=lambda item: item[0].entries)
     return tuple(entries)
 
 
-def _diagonal_members(k, letters, parts):
-    """Per component c, the (letter, symbol) pairs whose slots are both c."""
-    members = [[] for _ in range(k)]
-    for ltr, (s, i, j) in zip(letters, parts):
-        if i == j:
-            members[i - 1].append((ltr, s))
-    return members
-
-
 def _census(alphabet, k, letters, parts, profiles):
-    return SoValue(tuple(_bucketed_census(alphabet, comp_members, profiles)
-                         for comp_members in _diagonal_members(k, letters, parts)))
+    """Per component, the signed census of its diagonal letters' type (i)/(ii) profiles."""
+    eps, buckets = alphabet._epsilon, [{} for _ in range(k)]
+    for ltr, (s, i, j) in zip(letters, parts):
+        vec = profiles[ltr]
+        if i == j and vec.type_class in ("i", "ii"):
+            bucket = buckets[i - 1]
+            bucket[vec] = bucket.get(vec, 0) + eps[s]
+    return SoValue(tuple(map(_bucketed_census, buckets)))
 
 
 def so_phrase(phrase, moves):
@@ -320,19 +307,20 @@ def so_phrase(phrase, moves):
 
 def _collapse(n_free, weighted):
     """One T block: the sum of weight * vector over (vector, weight), slots collapsed."""
-    raw = defaultdict(int)
+    raw = {}
     for vec, weight in weighted:
         for (_j, p, q), coeff in vec.entries:
-            raw[(1, p, q)] += weight * coeff
-    return SigmaVector.build(n_free, raw)
+            raw[1, p, q] = raw.get((1, p, q), 0) + weight * coeff
+    return SigmaVector.build(n_free, raw) if raw else _ZERO
 
 
 def _t(alphabet, k, letters, parts, profiles):
     """Per component, the epsilon-weighted collapsed profiles of its diagonal letters."""
-    return tuple(
-        _collapse(alphabet.n_free, ((profiles[ltr], alphabet.epsilon(symbol))
-                                    for ltr, symbol in comp_members))
-        for comp_members in _diagonal_members(k, letters, parts))
+    eps, weighted = alphabet._epsilon, [[] for _ in range(k)]
+    for ltr, (s, i, j) in zip(letters, parts):
+        if i == j:
+            weighted[i - 1].append((profiles[ltr], eps[s]))
+    return tuple(_collapse(alphabet.n_free, comp) for comp in weighted)
 
 
 def t_invariant(phrase, moves):
@@ -359,12 +347,15 @@ def t_from_so(so_value, n_free):
 
 def _lk(alphabet, k, _letters, parts, _profiles):
     """Per slot pair i<j, the product of the symbols of letters with slots (i, j)."""
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    exps = {pair: [0] * (alphabet.n_free + alphabet.n_fixed) for pair in pairs}
+    if k < 2:
+        return ()
+    orbit, eps, width, exps = alphabet._orbit_index, alphabet._epsilon, len(alphabet.orbits), {}
     for s, i, j in parts:
         if i != j:
-            exps[(i, j)][alphabet.orbit_index(s) - 1] += alphabet.epsilon(s)
-    return tuple(PiElement._make(alphabet, exps[pair]) for pair in pairs)
+            exps.setdefault((i, j), [0] * width)[orbit[s] - 1] += eps[s]
+    one = PiElement.identity(alphabet)
+    return tuple(PiElement._make(alphabet, exps[i, j]) if (i, j) in exps else one
+                 for i in range(1, k) for j in range(i + 1, k + 1))
 
 
 def _clv(_alphabet, k, _letters, parts, _profiles):

@@ -63,12 +63,13 @@ def _sites(key, names, moves, kinds, max_letters):
         s, find = packed + "\0", packed.find  # s has a boundary after the last letter
         letters = list(map(chr, range(1, n + 1)))
         firsts, seconds = list(map(find, letters)), list(map(packed.rfind, letters))
+        w1, w2, w3, w3inv = (kind in kinds for kind in MATCH_KINDS)  # asked for
         m1, m2, m3, m3inv = [], [], [], []
         for b, f, l in zip(range(n), firsts, seconds):
             # y (rank b + 1) occurs at f and l; x precedes the first y and
             # z follows the second.  A later x or z found at a second
             # occurrence fails the test after it, so no test asks which.
-            if l == f + 1 and codes[b] in q_set:  # yy
+            if w1 and l == f + 1 and codes[b] in q_set:  # yy
                 p = f - packed.count("\0", 0, f)
                 m1.append((MoveSite("M1", (p, p + 1), (names[b],)),
                            _deleted(n, packed, codes, b, b)))
@@ -77,23 +78,21 @@ def _sites(key, names, moves, kinds, max_letters):
                 continue
             a, z = ord(x) - 1, s[l + 1]
             if z == x:  # xy..yx
-                if codes[a] + codes[b] in r_set:
+                if w2 and codes[a] + codes[b] in r_set:
                     p, pl = f - 1 - packed.count("\0", 0, f), l - packed.count("\0", 0, l)
                     m2.append((MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])),
                                _deleted(n, packed, codes, a, b)))
-            elif z != "\0" and seconds[a] < l - 1 and s[seconds[a] + 1] == z:  # xy..xz..yz
+            elif w3 and z != "\0" and seconds[a] < l - 1 and s[seconds[a] + 1] == z:  # xy..xz..yz
                 c = ord(z) - 1
                 if codes[a] + codes[b] + codes[c] in s_set:
                     m3.append(_triple("M3", packed, codes, (f - 1, seconds[a], l), names,
                                       (a, b, c)))
             c = ord(s[l - 1]) - 1
-            if l > f + 1 and c >= 0 and s[seconds[c] + 1] == x:  # xy..zy..zx
+            if w3inv and l > f + 1 and c >= 0 and s[seconds[c] + 1] == x:  # xy..zy..zx
                 if codes[b] + codes[a] + codes[c] in s_set:
                     m3inv.append(_triple("M3inv", packed, codes, (f - 1, l - 1, seconds[c]),
                                          names, (b, a, c)))
-        for kind, found in zip(MATCH_KINDS, (m1, m2, m3, m3inv)):
-            if found and kind in kinds:
-                matched += found
+        matched = m1 + m2 + m3 + m3inv
 
     inserted, q, r = _inserted(n, packed.split("\0"), moves, kinds, max_letters)
     return matched, inserted, q_codes if q else "", r_codes if r else []

@@ -241,20 +241,30 @@ class Verdict:
         return self.status == EQUIVALENT
 
 
-def replay_path(start, path, alphabet):
-    """Re-apply every step from a canonical form; return the final form.
+def _renamed(site, letters):
+    # The site with each rank letter (see rank_letters) read as the letter of
+    # that rank in `letters`; any other name reads as None and matches none.
+    name = dict(zip(rank_letters(len(letters)), letters)).get
+    return site if not site.letters else MoveSite(site.kind, site.positions,
+                                                  tuple(map(name, site.letters)))
 
-    Raises ConsistencyError when any step fails to reproduce its recorded
-    result.
+
+def replay_path(start, path, alphabet):
+    """Re-apply every step from a phrase or canonical form; return the final form.
+
+    The steps run on one phrase: each applies to the phrase the last one
+    returned, with its site's rank letters read as that phrase's letters.
+    Raises ConsistencyError when any step fails to reproduce its
+    recorded result.
     """
-    current = start if isinstance(start, CanonicalForm) else canonical_form(start)
+    phrase = start.to_phrase(alphabet) if isinstance(start, CanonicalForm) else start
     for step in path:
-        result = canonical_form(apply_move(current.to_phrase(alphabet), step.site))
+        phrase = apply_move(phrase, _renamed(step.site, phrase.letters))
+        result = canonical_form(phrase)
         if result != step.result:
             raise ConsistencyError(
                 f"replay diverged at {step.site.kind}: {result} != {step.result}")
-        current = step.result
-    return current
+    return canonical_form(phrase)
 
 
 class NeighborCache:
@@ -368,7 +378,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
             reason=f"reachable set of side {closed + 1} closed with no move cut by the budget")
 
     path = _assemble_path(visited, meet, moves, max_letters)
-    final = replay_path(c1, path, phrase1.alphabet)
+    final = replay_path(phrase1, path, phrase1.alphabet)
     if final != c2:
         raise ConsistencyError("assembled path does not end at the target")
     return Verdict(EQUIVALENT, path=path, explored=explored,

@@ -18,6 +18,7 @@ from nanowords import (
     NonGraphR,
     PiElement,
     SigmaVector,
+    SoValue,
     apply_move,
     builtin_data,
     canonical_form,
@@ -364,22 +365,54 @@ def _reference_lk_clv(alphabet, k, slots):
     return tuple(acc[pair] for pair in pairs), tuple(c % 2 for c in counts)
 
 
+def _reference_so_t(alphabet, k, slots, profiles):
+    """So and T from reference profiles, letter by letter.
+
+    `slots` maps each letter to its (symbol, i, j).  So buckets the type
+    (i) and (ii) profiles of each component's diagonal letters in a plain
+    dict; T sums epsilon times every diagonal profile with its component
+    slots collapsed to 1.
+    """
+    maps, blocks = [], []
+    for c in range(1, k + 1):
+        members = [(ltr, sym) for ltr, (sym, i, j) in slots.items() if i == j == c]
+        bucket, raw = {}, {}
+        for ltr, sym in members:
+            vec, eps = profiles[ltr], alphabet.epsilon(sym)
+            if vec.type_class in ("i", "ii"):
+                bucket[vec] = bucket.get(vec, 0) + eps
+            for (_slot, p, q), coeff in vec.entries:
+                raw[(1, p, q)] = raw.get((1, p, q), 0) + eps * coeff
+        counts = {vec: total % 2 if vec.type_class == "ii" else total
+                  for vec, total in bucket.items()}
+        maps.append(tuple(sorted(((vec, count) for vec, count in counts.items() if count),
+                                 key=lambda item: item[0].entries)))
+        blocks.append(SigmaVector.build(alphabet.n_free, raw))
+    return SoValue(tuple(maps)), tuple(blocks)
+
+
 def _check_phrase(phrase, moves):
     profiles = _profile_vectors(phrase)
-    assert profiles == _sigma_sum_profiles(phrase, moves)
+    reference = _sigma_sum_profiles(phrase, moves)
+    assert profiles == reference
     assert _profile_vectors(phrase) is profiles
-    slots = [(phrase.proj[ltr],) + phrase.component_pair(ltr) for ltr in phrase.letters]
+    slots = {ltr: (phrase.proj[ltr],) + phrase.component_pair(ltr) for ltr in phrase.letters}
     assert (lk_phrase(phrase, moves), clv_phrase(phrase, moves)) == \
-        _reference_lk_clv(phrase.alphabet, phrase.k, slots)
+        _reference_lk_clv(phrase.alphabet, phrase.k, slots.values())
+    assert (so_phrase(phrase, moves), t_invariant(phrase, moves)) == \
+        _reference_so_t(phrase.alphabet, phrase.k, slots, reference)
 
 
 def _check_lifted(word, lifted):
     profiles = _profile_table(lifted.base, word.letters, word.occurrences,
                               _lifted_parts(word, lifted))
-    assert profiles == _reference_lifted_profiles(word, lifted)
-    slots = [lifted.part(word.proj[ltr]) for ltr in word.letters]
+    reference = _reference_lifted_profiles(word, lifted)
+    assert profiles == reference
+    slots = {ltr: lifted.part(word.proj[ltr]) for ltr in word.letters}
     assert (lk_lifted(word, lifted), clv_lifted(word, lifted)) == \
-        _reference_lk_clv(lifted.base, lifted.k, slots)
+        _reference_lk_clv(lifted.base, lifted.k, slots.values())
+    assert so_lifted(word, lifted) == \
+        _reference_so_t(lifted.base, lifted.k, slots, reference)[0]
 
 
 def _random_phrase(rng, alphabet, n, k):
@@ -581,3 +614,51 @@ def test_key_reader_rejects_keys_of_another_level(curves, diagonal):
     alpha = Alphabet(("a",))
     names, values = key_reader(alpha, 1, MoveSystem(alpha, q=("a",)))
     assert names == () and values(canonical_form(ph(alpha, "AA", {"A": "a"})).key) == ()
+
+
+# Invariance on random explicit systems, beyond the built-ins.
+
+def _random_system(rng):
+    """Up to four symbols in free and fixed orbits, a random Q, R = graph of
+    tau and a random S within the diagonal."""
+    n_free = rng.randint(0, 2)
+    symbols = "abcd"[:2 * n_free + rng.randint(0 if n_free else 1, 4 - 2 * n_free)]
+    alphabet = Alphabet(symbols, {symbols[2 * i]: symbols[2 * i + 1] for i in range(n_free)})
+    return MoveSystem(alphabet, q=[s for s in symbols if rng.random() < 0.5],
+                      r=alphabet.tau_graph, s=[(s, s, s) for s in symbols if rng.random() < 0.5])
+
+
+def _assert_rows_hold(moves, top):
+    """Every row the system guarantees, unchanged across every move site of
+    every form with n <= top letters (n <= 2 on four symbols) and k <= 2.
+
+    Rows are read off keys and children come from the kernel; both are
+    pinned to the phrase path above and in test_moves."""
+    top = min(top, 2 if len(moves.alphabet) == 4 else 3)
+    checked = 0
+    for k in (1, 2):
+        names, values = key_reader(moves.alphabet, k, moves)
+        assert names == ("lk", "clv", "So", "T")
+        for n in range(top + 1):
+            for phrase in enumerate_nanophrases(moves.alphabet, n, k):
+                key = canonical_form(phrase).key
+                before = values(key)
+                for site, child in _expand(key, moves, n + 2):
+                    assert values(child) == before, (moves, CanonicalForm.from_key(key), site)
+                    checked += 1
+    return checked
+
+
+def test_rows_hold_on_random_explicit_systems_slice():
+    rng = random.Random("explicit-systems")
+    systems = [_random_system(rng) for _ in range(4)]
+    assert sum(_assert_rows_hold(moves, 2) for moves in systems) > 10_000
+
+
+@pytest.mark.slow
+def test_rows_hold_on_random_explicit_systems():
+    rng = random.Random("explicit-systems")
+    systems = [_random_system(rng) for _ in range(24)]
+    assert {moves.alphabet.n_free > 0 for moves in systems} == {True, False}
+    assert {moves.alphabet.n_fixed > 0 for moves in systems} == {True, False}
+    assert sum(_assert_rows_hold(moves, 3) for moves in systems) > 1_000_000

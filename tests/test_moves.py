@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,9 @@ from nanowords import (
     find_move_sites,
     replay_path,
 )
+import nanowords.kernel
 import nanowords.moves
+from nanowords.core import rank_letters
 from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
     _expand
@@ -517,6 +520,39 @@ def test_kernel_matches_the_reference_on_grown_words(name):
     assert empty and set(counts) == set(ALL_KINDS), (counts, empty)
 
 
+def _built_kinds(monkeypatch):
+    # The kinds of the matched children the kernel builds from now on.
+    built = []
+    deleted, triple = nanowords.kernel._deleted, nanowords.kernel._triple
+    monkeypatch.setattr(nanowords.kernel, "_deleted", lambda n, packed, codes, a, b: built.append(
+        "M1" if a == b else "M2") or deleted(n, packed, codes, a, b))
+    monkeypatch.setattr(nanowords.kernel, "_triple", lambda kind, *args: built.append(kind)
+                        or triple(kind, *args))
+    return built
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_single_kind_expansions_filter_the_all_kinds_one(monkeypatch, name):
+    # Each kind alone, and the transposition pair that path assembly asks
+    # for, give the all-kinds sequence filtered to those kinds, and build
+    # no matched child of another kind; on the forms of n <= 3 letters
+    # (n <= 2 at k = 2) and on grown words, at budgets n and n + 2.
+    moves = builtin_data(name).base_moves
+    keys = [form.key for k, top in ((1, 3), (2, 2))
+            for form in _forms(moves.alphabet, k, range(top + 1))]
+    keys += [canonical_form(p).key for p in _kernel_words(moves, 8, f"single:{name}")]
+    built = _built_kinds(monkeypatch)
+    requests = [(kind,) for kind in ALL_KINDS] + [("M3", "M3inv")]
+    for key in keys:
+        for max_letters in (ord(key[0]), ord(key[0]) + 2):
+            every = list(_expand(key, moves, max_letters))
+            for kinds in requests:
+                del built[:]
+                assert list(_expand(key, moves, max_letters, kinds)) == \
+                    [(s, c) for s, c in every if s.kind in kinds], (key, kinds)
+                assert set(built) <= set(kinds), (key, kinds, built)
+
+
 class TestFormKernel:
     """The key kernel on hand-checked insertions, against the reference."""
 
@@ -753,6 +789,79 @@ def test_lazy_search_matches_the_retaining_search(curves, diagonal):
         assert lazy == kept, (p1, p2, max_letters, max_states)
         statuses[lazy.status] += 1
     assert statuses[EQUIVALENT] and statuses[NOT_EQUIVALENT] and statuses[UNKNOWN], statuses
+
+
+def _replay_by_forms(form, path, alphabet):
+    # The reference replay: each step on a fresh to_phrase of its source form.
+    for step in path:
+        result = canonical_form(apply_move(form.to_phrase(alphabet), step.site))
+        if result != step.result:
+            raise ConsistencyError(f"replay diverged at {step.site.kind}")
+        form = step.result
+    return form
+
+
+def _renamed(phrase, rng):
+    # The phrase with its letters renamed by a shuffle of rank letters and
+    # other names, so a letter's name rarely matches its rank.
+    pool = [*rank_letters(phrase.n_letters), "N1", "N2", "x"]
+    rng.shuffle(pool)
+    name = dict(zip(phrase.letters, pool))
+    return Nanophrase(phrase.alphabet, [[name[ltr] for ltr in comp] for comp in phrase.components],
+                      {name[ltr]: sym for ltr, sym in phrase.proj.items()})
+
+
+def _forged(path, rng):
+    # The path with one step's site forged: one letter renamed (to a rank
+    # letter, possibly its own, or to an unknown name), or unknown symbols.
+    index = rng.randrange(len(path))
+    site = path[index].site
+    if site.letters:
+        letters = list(site.letters)
+        letters[rng.randrange(len(letters))] = rng.choice([*rank_letters(6), "N1", "?"])
+        site = replace(site, letters=tuple(letters))
+    else:
+        site = replace(site, symbols=("?",) * len(site.symbols))
+    return path[:index] + (PathStep(site, path[index].result),) + path[index + 1:]
+
+
+def _outcome(replay, start, path, alphabet):
+    try:
+        return replay(start, path, alphabet)
+    except (StaleSite, ConsistencyError) as err:
+        return type(err)
+
+
+def test_replay_on_one_phrase_matches_the_replay_by_forms(curves, diagonal):
+    # replay_path runs a path on one phrase, from a phrase (as equivalent
+    # does), a form or a renamed phrase; the reference replays every step
+    # on its source form's to_phrase.  Forged steps fail alike.
+    rng = random.Random("replay")
+    paths = stale = own_names = 0
+    for p1, p2, moves, max_letters, max_states in _search_inputs(curves, diagonal):
+        path = equivalent(p1, p2, moves, max_letters, max_states).path
+        if not path:
+            continue
+        alpha, form = moves.alphabet, canonical_form(p1)
+        assert _replay_by_forms(form, path, alpha) == canonical_form(p2)
+        for start in (p1, form, _renamed(p1, rng)):
+            assert replay_path(start, path, alpha) == canonical_form(p2)
+        forged = _forged(path, rng)
+        expected = _outcome(_replay_by_forms, form, forged, alpha)
+        for start in (p1, form, _renamed(p1, rng)):
+            assert _outcome(replay_path, start, forged, alpha) == expected, (p1, forged)
+        paths += 1
+        stale += expected is StaleSite
+        # A first site naming the start phrase's own letters, not its
+        # form's, is stale unless the names coincide.
+        renamed, site = _renamed(p1, rng), path[0].site
+        own = dict(zip(rank_letters(renamed.n_letters), renamed.letters))
+        own_path = (PathStep(replace(site, letters=tuple(map(own.get, site.letters))),
+                             path[0].result),) + path[1:]
+        assert _outcome(replay_path, renamed, own_path, alpha) == \
+            _outcome(_replay_by_forms, form, own_path, alpha), (renamed, own_path)
+        own_names += site.letters != own_path[0].site.letters
+    assert paths > 50 and stale > paths // 2 and own_names > 10, (paths, stale, own_names)
 
 
 def _links(parents, key):
