@@ -619,8 +619,10 @@ def test_key_reader_rejects_keys_of_another_level(curves, diagonal):
 # Invariance on random explicit systems, beyond the built-ins.
 
 def _random_system(rng):
-    """Up to four symbols in free and fixed orbits, a random Q, R = graph of
-    tau and a random S within the diagonal."""
+    """A random system: free and fixed orbits, random Q and S within the diagonal.
+
+    Up to four symbols; R is the graph of tau.
+    """
     n_free = rng.randint(0, 2)
     symbols = "abcd"[:2 * n_free + rng.randint(0 if n_free else 1, 4 - 2 * n_free)]
     alphabet = Alphabet(symbols, {symbols[2 * i]: symbols[2 * i + 1] for i in range(n_free)})
@@ -629,11 +631,13 @@ def _random_system(rng):
 
 
 def _assert_rows_hold(moves, top):
-    """Every row the system guarantees, unchanged across every move site of
-    every form with n <= top letters (n <= 2 on four symbols) and k <= 2.
+    """The rows a system guarantees, unchanged across every move site.
 
-    Rows are read off keys and children come from the kernel; both are
-    pinned to the phrase path above and in test_moves."""
+    Sites of every form with n <= top letters (n <= 2 on four symbols)
+    and k <= 2.  Rows are read off keys and children come from the
+    kernel, both pinned to the phrase path above and in test_moves.
+    Returns the number of children checked.
+    """
     top = min(top, 2 if len(moves.alphabet) == 4 else 3)
     checked = 0
     for k in (1, 2):
