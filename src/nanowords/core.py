@@ -127,6 +127,9 @@ class Alphabet:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # rebuilt, so the hash is this process's
+        return Alphabet, (self.symbols, self._tau)
+
     def __repr__(self):
         return f"Alphabet({list(self.symbols)!r})"
 
@@ -140,7 +143,7 @@ class MoveSystem:
     Q = alphabet and R = the graph of tau.
     """
 
-    __slots__ = ("alphabet", "q", "r", "s", "r_is_graph_of_tau")
+    __slots__ = ("alphabet", "q", "r", "s", "r_is_graph_of_tau", "_hash")
 
     def __init__(self, alphabet, q=(), r=(), s=()):
         self.alphabet = alphabet
@@ -156,6 +159,7 @@ class MoveSystem:
         if unknown:
             raise UnknownSymbol(unknown, where="move system")
         self.r_is_graph_of_tau = self.r == alphabet.tau_graph
+        self._hash = hash((alphabet, self.q, self.r, self.s))
 
     @property
     def s_is_sub_diagonal(self):
@@ -172,7 +176,10 @@ class MoveSystem:
                 and self.q == other.q and self.r == other.r and self.s == other.s)
 
     def __hash__(self):
-        return hash((self.alphabet, self.q, self.r, self.s))
+        return self._hash
+
+    def __reduce__(self):
+        return MoveSystem, (self.alphabet, self.q, self.r, self.s)
 
     def __repr__(self):
         return f"MoveSystem(q={sorted(self.q)}, r={sorted(self.r)}, s={sorted(self.s)})"

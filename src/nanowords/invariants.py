@@ -339,8 +339,9 @@ def t_from_so(so_value, n_free):
     """Entry-sum recovery of the per-component blocks from an SoValue.
 
     Sums count * vector over each component map and collapses the
-    component slots.  Matches t_invariant whenever every letter profile
-    is of type (i) or (ii).
+    component slots.  Matches t_invariant on every phrase: each entry of
+    a letter's profile has the letter's own orbit as p, so no profile is
+    of type (iii) and the census keeps every nonzero one.
     """
     return tuple(_collapse(n_free, comp_map) for comp_map in so_value.maps)
 

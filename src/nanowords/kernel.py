@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .core import _encode_symbols, rank_letters
+from .core import _encode_symbols, _symbol_of, rank_letters
 
 MATCH_KINDS = ("M1", "M2", "M3", "M3inv")
 INSERTION_KINDS = ("M1ins", "M2ins")
@@ -41,8 +41,8 @@ def _sites(key, names, moves, kinds, max_letters):
     # the child key of each matched site: the (site, child) pairs of the
     # matched sites, the insertion sites, and the codes of the symbols
     # those insert ("" and [] when the kind is not asked for or does not
-    # fit), in site order.  moves.find_move_sites scans a phrase by
-    # another rule and must give the same sites.
+    # fit), in site order; with names None, the matched children alone and
+    # no insertion sites.  moves.find_move_sites reads a phrase otherwise.
     #
     # Matched sites are read off the packed ranks, at packed indices; a
     # letter at index i sits at flat position i minus the boundaries
@@ -70,18 +70,20 @@ def _sites(key, names, moves, kinds, max_letters):
             # z follows the second.  A later x or z found at a second
             # occurrence fails the test after it, so no test asks which.
             if w1 and l == f + 1 and codes[b] in q_set:  # yy
-                p = f - packed.count("\0", 0, f)
-                m1.append((MoveSite("M1", (p, p + 1), (names[b],)),
-                           _deleted(n, packed, codes, b, b)))
+                child, p = _deleted(n, packed, codes, b, b), f - packed.count("\0", 0, f)
+                m1.append(child if names is None else
+                          (MoveSite("M1", (p, p + 1), (names[b],)), child))
             x = s[f - 1]  # s[-1] is the final boundary
             if x == "\0":
                 continue
             a, z = ord(x) - 1, s[l + 1]
             if z == x:  # xy..yx
                 if w2 and codes[a] + codes[b] in r_set:
-                    p, pl = f - 1 - packed.count("\0", 0, f), l - packed.count("\0", 0, l)
-                    m2.append((MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])),
-                               _deleted(n, packed, codes, a, b)))
+                    child = _deleted(n, packed, codes, a, b)
+                    if names is not None:
+                        p, pl = f - 1 - packed.count("\0", 0, f), l - packed.count("\0", 0, l)
+                        child = MoveSite("M2", (p, p + 1, pl, pl + 1), (names[a], names[b])), child
+                    m2.append(child)
             elif w3 and z != "\0" and seconds[a] < l - 1 and s[seconds[a] + 1] == z:  # xy..xz..yz
                 c = ord(z) - 1
                 if codes[a] + codes[b] + codes[c] in s_set:
@@ -94,18 +96,19 @@ def _sites(key, names, moves, kinds, max_letters):
                                          names, (b, a, c)))
         matched = m1 + m2 + m3 + m3inv
 
-    inserted, q, r = _inserted(n, packed.split("\0"), moves, kinds, max_letters)
+    components = None if names is None else packed.split("\0")
+    inserted, q, r = _inserted(n, components, moves, kinds, max_letters)
     return matched, inserted, q_codes if q else "", r_codes if r else []
 
 
 def _inserted(n, components, moves, kinds, max_letters):
-    # The insertion sites of a word of n letters in these components,
-    # with the Q and R they draw on (empty when the kind is not asked for
-    # or the budget leaves no room).
+    # The insertion sites of a word of n letters in these components (none
+    # if None), with the Q and R they draw on (empty when the kind is not
+    # asked for or the budget leaves no room).
     fits = max_letters is not None
     q = moves.q if fits and "M1ins" in kinds and n + 1 <= max_letters else _NO_SYMBOLS
     r = moves.r if fits and "M2ins" in kinds and n + 2 <= max_letters else _NO_SYMBOLS
-    if not (q or r):
+    if not (q or r) or components is None:
         return (), q, r
     lengths = tuple(map(len, components))
     small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
@@ -126,9 +129,8 @@ def _deleted(n, packed, codes, a, b):
 
 def _triple(kind, packed, codes, starts, names, ranks):
     # An M3 or M3inv site on the pairs at packed indices `starts`, with its
-    # child key: the three pairs swapped, then the ranks renumbered by
-    # first occurrence.
-    flat = [p for i in starts for p in (i - packed.count("\0", 0, i),) for p in (p, p + 1)]
+    # child key (the key alone when names is None): the three pairs
+    # swapped, then the ranks renumbered by first occurrence.
     chars = list(packed)
     for i in starts:
         chars[i], chars[i + 1] = chars[i + 1], chars[i]
@@ -137,7 +139,9 @@ def _triple(kind, packed, codes, starts, names, ranks):
     relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
     child = (chr(len(codes)) + moved.translate(relabel)
              + "".join([codes[ord(ch) - 1] for ch in order]))
-    return MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks])), child
+    flat = [p for i in starts for p in (i - packed.count("\0", 0, i),) for p in (p, p + 1)]
+    return child if names is None else (
+        MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks])), child)
 
 
 @lru_cache(maxsize=32)
@@ -173,17 +177,53 @@ def _expand(key, moves, max_letters, kinds=ALL_KINDS):
 
     The children are the keys of canonical_form(apply_move(phrase, site))
     on the key's form.to_phrase(...), built on the key without a
-    Nanophrase.  They come in site order: every matched site's, built
-    with its site, then the insertion children in batches, the M1ins
-    children of each insertion rank and then the M2ins children of each
-    first gap.  A batch is built when its first child is read, so a
-    caller that stops early builds no later batch.  The result is an
-    iterator; it keeps nothing once exhausted.
+    Nanophrase, in site order: every matched site's with its site, then
+    the insertion children in batches, the M1ins children of each
+    insertion rank and then the M2ins children of each first gap.  A
+    batch is built when its first child is read, so a caller that stops
+    early builds no later one; the iterator keeps nothing once
+    exhausted.  _children yields the same keys without the sites.
     """
     matched, inserted, q_codes, r_codes = _sites(key, rank_letters(ord(key[0])), moves, kinds,
                                                  max_letters)
-    batches = _child_batches(key, q_codes, r_codes)
-    return chain(matched, zip(inserted, chain.from_iterable(batches)))
+    return chain(matched, zip(inserted, chain.from_iterable(_child_batches(key, q_codes, r_codes))))
+
+
+def _children(key, moves, max_letters):
+    """_expand(key, moves, max_letters)'s child keys alone, as lazily, with no MoveSite built."""
+    matched, _none, q_codes, r_codes = _sites(key, None, moves, ALL_KINDS, max_letters)
+    return chain(matched, chain.from_iterable(_child_batches(key, q_codes, r_codes)))
+
+
+def _step_site(source, target, moves):
+    """The first site of find_move_sites(source) whose child is target, or None.
+
+    Deletions read the source's doubled letters (M1) or xy..yx pairs (M2) by first occurrence,
+    which is site order; an insertion undoes the first of the target's that gives the source.
+    """
+    grow = ord(target[0]) - ord(source[0])
+    if not grow:
+        return next((site for site, child in _expand(source, moves, None, ("M3", "M3inv"))
+                     if child == target), None)
+    (key, other), pair = (target, source) if grow > 0 else (source, target), abs(grow) == 2
+    n = ord(key[0])
+    packed, codes = key[1:len(key) - n], key[len(key) - n:]
+    s, admitted = packed + "\0", _coded(moves)[2 + pair]  # Q or R codes
+    for b in range(n):
+        f, l = packed.find(chr(b + 1)), packed.rfind(chr(b + 1))
+        ranks, starts = ((ord(s[f - 1]) - 1, b), (f - 1, l)) if pair else ((b,), (f,))
+        if (s[l + 1] == s[f - 1] != "\0" if pair else l == f + 1) \
+                and (code := "".join([codes[r] for r in ranks])) in admitted \
+                and _deleted(n, packed, codes, ranks[0], b) == other:
+            kind = ALL_KINDS[pair + 4 * (grow > 0)]  # M1, M2, M1ins or M2ins
+            if grow < 0:
+                flat = [i - packed.count("\0", 0, i) for i in starts]
+                return MoveSite(kind, tuple([p + d for p in flat for d in (0, 1)]),
+                                tuple([rank_letters(n)[r] for r in ranks]))
+            src, at = other[1:len(other) - n + grow], (starts[0], l - 2)[:grow]  # in the source
+            gaps = [(src.count("\0", 0, i), i - src.rfind("\0", 0, i) - 1) for i in at]
+            return MoveSite(kind, gaps=tuple(gaps), symbols=tuple(map(_symbol_of.get, code)))
+    return None
 
 
 def _child_batches(key, q_codes, r_codes):

@@ -25,7 +25,8 @@ from .core import (
     rank_letters,
 )
 from .invariants import invariant_lines
-from .kernel import ALL_KINDS, MATCH_KINDS, MoveSite, _expand, _inserted, _sites
+from .kernel import (ALL_KINDS, MATCH_KINDS, MoveSite, _children, _expand, _inserted, _sites,
+                     _step_site)
 
 
 class StaleSite(NanowordError):
@@ -315,11 +316,11 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     UNKNOWN when max_states was hit first or the budget cut the closed
     set.
 
-    Without neighbor_cache, each state's matched children are built
-    with its sites and its insertion children in batches as the search
-    reads them (see _expand), so no insertion batch is built past the
-    child that meets the other side; nothing is kept.  Callers running
-    several searches may share one (same verdicts).
+    Without neighbor_cache the search reads child keys only, each
+    insertion batch built as it is reached (kernel._children), so none is
+    built past the child that meets the other side; nothing is kept.
+    Callers running several searches may share one (same verdicts).  The
+    path is read back off the parent links and replayed.
     """
     if phrase1.alphabet != phrase2.alphabet or moves.alphabet != phrase1.alphabet:
         raise AlphabetMismatch("equivalence needs a single shared alphabet")
@@ -348,9 +349,8 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
         fresh = []
         for state in frontiers[side]:
             cut[side] = cut[side] or _budget_cut(state, moves, max_letters)
-            children = (_expand(state, moves, max_letters) if neighbor_cache is None
-                        else neighbor_cache.within(state, max_letters))
-            for _site, child in children:
+            for child in (_children(state, moves, max_letters) if neighbor_cache is None else
+                          [child for _site, child in neighbor_cache.within(state, max_letters)]):
                 if child in here:
                     continue
                 here[child] = state
@@ -377,7 +377,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
             NOT_EQUIVALENT, explored=explored,
             reason=f"reachable set of side {closed + 1} closed with no move cut by the budget")
 
-    path = _assemble_path(visited, meet, moves, max_letters)
+    path = _assemble_path(visited, meet, moves)
     final = replay_path(phrase1, path, phrase1.alphabet)
     if final != c2:
         raise ConsistencyError("assembled path does not end at the target")
@@ -404,18 +404,11 @@ def decide(phrase1, phrase2, moves, lifted, max_letters, max_states):
     return replace(verdict, status=NOT_EQUIVALENT, reason=reason, separator=separator)
 
 
-# The kinds of a step that changes the letter count by the key; a kind
-# keeps its order in find_move_sites, so scanning only these meets the
-# same first site as a scan of all kinds.
-_KINDS_BY_DELTA = {-2: ("M2",), -1: ("M1",), 0: ("M3", "M3inv"),
-                   1: ("M1ins",), 2: ("M2ins",)}
+def _assemble_path(visited, meet, moves):
+    """The PathSteps from side 1's start through meet to side 2's start.
 
-
-def _assemble_path(visited, meet, moves, max_letters):
-    # The keys run from side 1's start through meet to side 2's start.  A
-    # step's site is the first site of its source whose child is the next
-    # key: the site the search met it by on side 1, and the first move
-    # undoing a side-2 link.
+    Each step's site is the first of its source whose child is the next key (kernel._step_site).
+    """
     keys = [meet]
     while visited[0][keys[-1]] is not None:
         keys.append(visited[0][keys[-1]])
@@ -424,11 +417,8 @@ def _assemble_path(visited, meet, moves, max_letters):
         keys.append(visited[1][keys[-1]])
     steps = []
     for source, target in zip(keys, keys[1:]):
-        kinds = _KINDS_BY_DELTA[ord(target[0]) - ord(source[0])]
-        for site, child in _expand(source, moves, max_letters, kinds):
-            if child == target:
-                steps.append(PathStep(site, CanonicalForm.from_key(target)))
-                break
-        else:
+        site = _step_site(source, target, moves)
+        if site is None:
             raise ConsistencyError("no move found while assembling a path")
+        steps.append(PathStep(site, CanonicalForm.from_key(target)))
     return tuple(steps)

@@ -164,9 +164,9 @@ class TestEquiv:
         # so a corrupted path must stop the library call and the command.
         assemble = nanowords.moves._assemble_path
 
-        def corrupted(visited, meet, moves, max_letters):
+        def corrupted(visited, meet, moves):
             start = CanonicalForm.from_key(next(iter(visited[0])))
-            return tamper(assemble(visited, meet, moves, max_letters), start)
+            return tamper(assemble(visited, meet, moves), start)
 
         monkeypatch.setattr(nanowords.moves, "_assemble_path", corrupted)
         curves = builtin_data("curves")

@@ -295,6 +295,33 @@ class TestCanonicalFormContract:
         assert list(texts) == [form.serialize() for form in forms]
         assert list(keys) != [ascii(form.key) for form in forms]
 
+    def test_alphabet_and_move_system_pickles_hash_in_the_loading_process(self):
+        # Written under one hash seed and loaded under another, an alphabet
+        # and a move system hash as fresh equal ones do, so dict lookups
+        # find them; the writer's hash differs from the reader's.
+        build = ("import pickle, sys\n"
+                 "from nanowords import Alphabet, MoveSystem\n"
+                 "alpha = Alphabet(('a', 'b', 'c'), {'a': 'b'})\n"
+                 "moves = MoveSystem.standard(alpha, [('c', 'c', 'c'), ('a', 'b', 'a')])\n")
+        write = build + "sys.stdout.buffer.write(pickle.dumps((alpha, moves, hash(alpha))))\n"
+        read = build + (
+            "*got, written = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert written != hash(alpha)\n"
+            "assert got == [alpha, moves] and got[1].alphabet == alpha\n"
+            "assert [hash(x) for x in got] == [hash(alpha), hash(moves)]\n"
+            "assert {alpha: 1}.get(got[0]) == {moves: 1}.get(got[1]) == 1\n")
+        package_root = os.path.dirname(os.path.dirname(nanowords.__file__))
+
+        def run(script, seed, data=b""):
+            done = subprocess.run([sys.executable, "-c", script], input=data,
+                                  capture_output=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": package_root,
+                                       "PYTHONHASHSEED": seed})
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        run(read, "2", run(write, "1"))
+
     def test_concurrent_first_use_gives_one_code_per_symbol(self):
         # Eight threads meet new symbols at once: each owns 40, and all
         # share 40, each thread in its own order.

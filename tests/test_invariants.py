@@ -39,6 +39,7 @@ from nanowords import (
     t_invariant,
 )
 from nanowords.invariants import (
+    _census,
     _collapse,
     _interleaving,
     _lifted_parts,
@@ -145,6 +146,21 @@ class TestSoPhrase:
     def test_empty_phrase(self, curves):
         p = ph(curves.base_alphabet, "|", {})
         assert so_phrase(p, curves.base_moves).maps == ((), ())
+
+    def test_census_leaves_out_type_iii_profiles(self):
+        # A synthetic profile table: no phrase yields a type (iii) profile,
+        # so only a table built by hand shows that the census drops one.
+        # Orbit 1 = {a, b} is free, orbit 2 = {c} fixed.
+        alpha = Alphabet(("a", "b", "c"), {"a": "b"})
+        free = SigmaVector.build(1, {(1, 1, 1): 2})
+        fixed = SigmaVector.build(1, {(1, 2, 2): 1})
+        mixed = SigmaVector.build(1, {(1, 1, 1): 1, (1, 2, 1): 1})
+        other = SigmaVector.build(1, {(2, 1, 2): 1, (1, 2, 2): 1})
+        assert [v.type_class for v in (free, fixed, mixed, other)] == ["i", "ii", "iii", "iii"]
+        profiles = {"A": free, "B": mixed, "C": fixed, "D": other, "E": mixed}
+        parts = [("a", 1, 1), ("a", 1, 1), ("c", 1, 1), ("c", 1, 1), ("b", 2, 2)]
+        so = _census(alpha, 2, tuple(profiles), parts, profiles)
+        assert so.maps == (((free, 1), (fixed, 1)), ())
 
 
 class TestTInvariant:
@@ -308,10 +324,9 @@ def test_recovery_from_census_small(curves, diagonal):
         checked = 0
         for n in range(4):
             for p in enumerate_nanophrases(alpha, n, 2):
-                from nanowords.invariants import _profile_vectors
-                profiles = _profile_vectors(p)
-                if any(v.type_class == "iii" for v in profiles.values()):
-                    continue
+                # Every entry of a letter's profile has the letter's own
+                # orbit as p, so no profile is of type (iii).
+                assert "iii" not in {v.type_class for v in _profile_vectors(p).values()}
                 checked += 1
                 assert t_from_so(so_phrase(p, moves), alpha.n_free) == \
                     t_invariant(p, moves)

@@ -7,6 +7,7 @@ import pytest
 from nanowords import (
     ALL_KINDS,
     BUILTIN_NAMES,
+    Alphabet,
     INSERTION_KINDS,
     MATCH_KINDS,
     CanonicalForm,
@@ -28,6 +29,7 @@ from nanowords import (
 )
 import nanowords.kernel
 import nanowords.moves
+from nanowords.kernel import _children, _step_site
 from nanowords.core import rank_letters
 from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
@@ -553,6 +555,116 @@ def test_single_kind_expansions_filter_the_all_kinds_one(monkeypatch, name):
                 assert set(built) <= set(kinds), (key, kinds, built)
 
 
+# The kinds of a step that changes the letter count by the key.
+_KINDS_BY_DELTA = {-2: ("M2",), -1: ("M1",), 0: ("M3", "M3inv"), 1: ("M1ins",), 2: ("M2ins",)}
+
+
+def _expansion_step_rule(moves):
+    # The path step rule that kernel._step_site replaced: the first site of
+    # the source's expansion, restricted to the kinds of the letter-count
+    # change, whose child is the target.  Each (source, kinds) expansion is
+    # read once, at a budget covering every key within two letters.
+    memo = {}
+
+    def first_site(source, target):
+        kinds = _KINDS_BY_DELTA[ord(target[0]) - ord(source[0])]
+        if (source, kinds) not in memo:
+            if len(memo) > 4096:
+                memo.clear()
+            memo[source, kinds] = first = {}
+            for site, child in _expand(source, moves, ord(source[0]) + 2, kinds):
+                first.setdefault(child, site)
+        return memo[source, kinds].get(target)
+    return first_site
+
+
+def _step_inputs(name, sizes):
+    # (moves, keys): the forms of each (k, n) in sizes over a built-in,
+    # ornaments as lifted words at k = 2, a (k, n, count) entry a seeded
+    # sample of count forms.  "gated" is an explicit system whose Q and R
+    # reject moves the built-ins admit: on ABCCBA with A, C on a and B on
+    # b, the M2 site on AB is rejected and the later one on BC admitted.
+    if name == "gated":
+        moves = MoveSystem(Alphabet(("a", "b")), q=["a"], r=[("b", "a")], s=[("a", "b", "a")])
+    else:
+        data = builtin_data(name, 2) if name == "ornaments" else builtin_data(name)
+        moves = data.lifted_moves if name == "ornaments" else data.base_moves
+    keys = []
+    for k, n, *count in sizes:
+        forms = _forms(moves.alphabet, k, [n], *count)
+        keys += [form.key for form in forms]
+    return moves, keys
+
+
+def _check_children_and_steps(moves, keys):
+    # (a) _children against _expand on every key and on every child of one,
+    # at budgets n to n + 2.  (b) _step_site against the expansion rule for
+    # every (key, child) and (child, key) pair of the n + 2 expansions.
+    # Returns counts of the cases the pairs met.
+    rule, seen = _expansion_step_rule(moves), Counter()
+    for key in keys:
+        n = ord(key[0])
+        every = list(_expand(key, moves, n + 2))
+        for node in [key, *dict.fromkeys(child for _site, child in every)]:
+            for max_letters in range(ord(node[0]), ord(node[0]) + 3):
+                assert list(_children(node, moves, max_letters)) == \
+                    [child for _site, child in _expand(node, moves, max_letters)], \
+                    (node, max_letters)
+        sites_of = Counter(child for _site, child in every)
+        seen["several sites"] += sum(count > 1 for count in sites_of.values())
+        for child in sites_of:
+            for source, target in ((key, child), (child, key)):
+                site = _step_site(source, target, moves)
+                assert site == rule(source, target), (source, target)
+                seen[site.kind] += 1
+                if site.kind == "M2ins" and site.gaps[0] == site.gaps[1]:
+                    seen["M2ins equal gaps"] += 1
+                if site.gaps and not source[1:len(source) - ord(source[0])].split("\0")[
+                        site.gaps[0][0]]:
+                    seen["empty component"] += 1
+    return seen
+
+
+_STEP_CASES = ["several sites", "M2ins equal gaps", "empty component", *ALL_KINDS]
+
+
+@pytest.mark.parametrize("name,sizes", [
+    ("curves", [(1, 0), (1, 1), (1, 2), (3, 1), (1, 3, 25), (2, 3, 10), (3, 2, 15)]),
+    ("links", [(1, 1), (2, 1), (3, 1, 8), (1, 2, 12), (3, 2, 8)]),
+    ("diagonal", [(1, 3), (2, 2), (3, 2), (3, 3, 15)]),
+    ("ornaments", [(1, 1), (1, 2, 25), (1, 3, 8)]),
+    ("gated", [(1, 2), (1, 3), (2, 2)]),
+])
+def test_children_and_step_sites_match_the_expansion(name, sizes):
+    # The frontier's child keys and the path steps read off their keys,
+    # against the expansion they replace, on small enumerations and their
+    # children (k = 3 included) and seeded samples of larger ones.  Only
+    # the diagonal S makes transpositions common enough to meet here.
+    seen = _check_children_and_steps(*_step_inputs(name, sizes))
+    assert all(seen[case] for case in _STEP_CASES
+               if name == "diagonal" or case not in ("M3", "M3inv")), seen
+    if name == "gated":
+        alpha, moves = Alphabet(("a", "b")), _step_inputs(name, [])[0]
+        nested = canonical_form(ph(alpha, "ABCCBA", {"A": "a", "B": "b", "C": "a"})).key
+        assert _step_site(nested, canonical_form(ph(alpha, "AA", {"A": "a"})).key, moves) \
+            == MoveSite("M2", (1, 2, 3, 4), ("B", "C"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,sizes", [
+    ("curves", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3, 100), (3, 1), (3, 2),
+                (3, 3, 60)]),
+    ("links", [(1, 0), (1, 1), (1, 2), (1, 3, 100), (2, 1), (2, 2, 60), (3, 1), (3, 2, 60)]),
+    ("diagonal", [(k, n) for k in (1, 2, 3) for n in range(4)]),
+    ("ornaments", [(1, 0), (1, 1), (1, 2), (1, 3, 100)]),
+])
+def test_children_and_step_sites_match_the_expansion_on_larger_sets(name, sizes):
+    # The ornament sets here meet no M3 or M3inv step.
+    seen = _check_children_and_steps(*_step_inputs(name, sizes))
+    assert all(seen[case] for case in _STEP_CASES
+               if name != "ornaments" or case not in ("M3", "M3inv")), seen
+
+
 class TestFormKernel:
     """The key kernel on hand-checked insertions, against the reference."""
 
@@ -871,10 +983,12 @@ def _links(parents, key):
         key = parents[key]
 
 
-def _full_scan_assembly(visited, meet, moves, max_letters):
+def _full_scan_assembly(visited, meet, moves):
     # The reference path assembly: each step from a source key to the next
-    # is the first of all the source's neighbours that is the next key.
+    # is the first of all the source's neighbours that is the next key, at
+    # a budget that covers every visited key.
     keys = list(_links(visited[0], meet))[::-1] + list(_links(visited[1], meet))[1:]
+    max_letters = max(ord(key[0]) for parents in visited for key in parents)
     cache = NeighborCache(moves)
     return tuple(
         PathStep(next(site for site, child in cache.within(source, max_letters) if child == target),
@@ -886,11 +1000,11 @@ def test_inverse_kind_assembly_matches_the_full_scan(monkeypatch, curves, diagon
     assemble = nanowords.moves._assemble_path
     kinds = Counter()
 
-    def checked(visited, meet, moves, max_letters):
+    def checked(visited, meet, moves):
         assert all(parent is None or type(parent) is str
                    for parents in visited for parent in parents.values())
-        path = assemble(visited, meet, moves, max_letters)
-        assert path == _full_scan_assembly(visited, meet, moves, max_letters)
+        path = assemble(visited, meet, moves)
+        assert path == _full_scan_assembly(visited, meet, moves)
         kinds.update(step.site.kind for step in path)
         return path
 
@@ -915,7 +1029,7 @@ def test_a_link_no_move_realizes_stops_the_assembly(curves, side):
     else:
         visited, meet = ({square: None}, {nested: None, square: nested}), square
     with pytest.raises(ConsistencyError, match="no move found while assembling a path"):
-        _assemble_path(visited, meet, moves, 4)
+        _assemble_path(visited, meet, moves)
 
 
 def _verdict_rule(p1, p2, moves, max_letters, max_states):
