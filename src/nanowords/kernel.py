@@ -42,7 +42,7 @@ def _sites(key, names, moves, kinds, max_letters):
     # matched sites, the insertion sites, and the codes of the symbols
     # those insert ("" and [] when the kind is not asked for or does not
     # fit), in site order; with names None, the matched children alone and
-    # no insertion sites.  moves.find_move_sites reads a phrase otherwise.
+    # no insertion sites.  moves.find_move_sites must match it on phrases.
     #
     # Matched sites are read off the packed ranks, at packed indices; a
     # letter at index i sits at flat position i minus the boundaries

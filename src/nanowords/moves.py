@@ -319,8 +319,7 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     Without neighbor_cache the search reads child keys only, each
     insertion batch built as it is reached (kernel._children), so none is
     built past the child that meets the other side; nothing is kept.
-    Callers running several searches may share one (same verdicts).  The
-    path is read back off the parent links and replayed.
+    Callers running several searches may share one (same verdicts).
     """
     if phrase1.alphabet != phrase2.alphabet or moves.alphabet != phrase1.alphabet:
         raise AlphabetMismatch("equivalence needs a single shared alphabet")
@@ -407,7 +406,8 @@ def decide(phrase1, phrase2, moves, lifted, max_letters, max_states):
 def _assemble_path(visited, meet, moves):
     """The PathSteps from side 1's start through meet to side 2's start.
 
-    Each step's site is the first of its source whose child is the next key (kernel._step_site).
+    A step's site is the first of its source whose child is the next key (kernel._step_site):
+    the site the search met it by on side 1, and the first move undoing a side-2 link.
     """
     keys = [meet]
     while visited[0][keys[-1]] is not None:
