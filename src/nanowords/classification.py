@@ -19,7 +19,7 @@ from itertools import combinations, groupby
 from .core import (Alphabet, CanonicalForm, ConsistencyError, MoveSystem, canonical_form,
                    enumerate_nanophrases)
 from .invariants import key_reader, render_rows
-from .kernel import _expand
+from .kernel import _children
 from .lift import LiftedAlphabet
 from .moves import _budget_cut
 
@@ -66,7 +66,7 @@ def classify(ctx, n_letters, max_letters, max_states):
         while queue and not truncated:
             state = queue.popleft()
             cut = cut or _budget_cut(state, ctx.moves, max_letters)
-            for _site, child in _expand(state, ctx.moves, max_letters):
+            for child in _children(state, ctx.moves, max_letters):
                 owner = home.get(child)
                 if owner is None:
                     if values_of(child) != value:

@@ -55,6 +55,7 @@ _VERDICT_RENDER = {EQUIVALENT: ("Equivalent", EXIT_OK), UNKNOWN: ("Unknown", EXI
 class WordContext:
     builtin: str
     base: Alphabet
+    system_lines: list  # the record's alpha, tau and S lines; none under --builtin
     lifted: LiftedAlphabet
     moves: MoveSystem
     phrase: Nanophrase
@@ -94,16 +95,17 @@ def load_word_context(args, path, force_base=False):
         raise NanowordError(f"{path}: no 'phrase:' line")
     data = _system(args, record)
     base = data.base_alphabet
+    lines = [] if data.name else render_alphabet_lines(base, record.s)
     if not (data.name == "ornaments" or args.k > 1
             or any(sym not in base for sym in record.proj.values())):
         phrase = Nanophrase(base, record.components, record.proj)
-        return WordContext(data.name, base, None, data.base_moves, phrase)
+        return WordContext(data.name, base, lines, None, data.base_moves, phrase)
     if force_base:
         raise NanowordError("expected a phrase over the base alphabet")
     if record.q is not None or record.r is not None:
         raise NanowordError("custom Q/R lines are not supported at the lifted level")
     phrase = Nanophrase(data.lifted.alphabet, record.components, record.proj)
-    return WordContext(data.name, base, data.lifted, data.lifted_moves, phrase)
+    return WordContext(data.name, base, lines, data.lifted, data.lifted_moves, phrase)
 
 
 def load_set_context(args):
@@ -182,8 +184,7 @@ def cmd_lift(args):
     word = phi(ctx.phrase)
     comments = [f"flattened {ctx.phrase.k}-component phrase; reread with --k {ctx.phrase.k}"
                 + (f" --builtin {ctx.builtin}" if ctx.builtin else "")]
-    alphabet_lines = () if ctx.builtin else render_alphabet_lines(ctx.base)
-    sys.stdout.write(render_record(word, alphabet_lines, comments))
+    sys.stdout.write(render_record(word, ctx.system_lines, comments))
     return EXIT_OK
 
 
@@ -197,8 +198,7 @@ def cmd_project(args):
     base_name = "curves" if ctx.builtin == "ornaments" else ctx.builtin
     comments = [f"reconstructed {ctx.lifted.k}-component phrase"
                 + (f"; reread with --builtin {base_name}" if base_name else "")]
-    alphabet_lines = () if ctx.builtin else render_alphabet_lines(ctx.base)
-    sys.stdout.write(render_record(phrase, alphabet_lines, comments))
+    sys.stdout.write(render_record(phrase, ctx.system_lines, comments))
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """Move sites and child keys read off canonical-form keys.
 
-The search's expansion kernel.  A key (see core.CanonicalForm) is read
-as packed ranks and symbol codes, and each site and each child key is a
-few string operations on it, without building a Nanophrase.
-moves.apply_move followed by core.canonical_form is the reference that
-every child must match.
+The one site finder, for every input: a phrase is read off its key.  A
+key (see core.CanonicalForm) is read as packed ranks and symbol codes,
+and each site and child key is a few string operations on it, without
+a Nanophrase.  moves.apply_move followed by core.canonical_form is the
+reference that every child must match.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _sites(key, names, moves, kinds, max_letters):
     # matched sites, the insertion sites, and the codes of the symbols
     # those insert ("" and [] when the kind is not asked for or does not
     # fit), in site order; with names None, the matched children alone and
-    # no insertion sites.  moves.find_move_sites must match it on phrases.
+    # no insertion sites.
     #
     # Matched sites are read off the packed ranks, at packed indices; a
     # letter at index i sits at flat position i minus the boundaries
@@ -96,23 +96,15 @@ def _sites(key, names, moves, kinds, max_letters):
                                          names, (b, a, c)))
         matched = m1 + m2 + m3 + m3inv
 
-    components = None if names is None else packed.split("\0")
-    inserted, q, r = _inserted(n, components, moves, kinds, max_letters)
-    return matched, inserted, q_codes if q else "", r_codes if r else []
-
-
-def _inserted(n, components, moves, kinds, max_letters):
-    # The insertion sites of a word of n letters in these components (none
-    # if None), with the Q and R they draw on (empty when the kind is not
-    # asked for or the budget leaves no room).
     fits = max_letters is not None
     q = moves.q if fits and "M1ins" in kinds and n + 1 <= max_letters else _NO_SYMBOLS
     r = moves.r if fits and "M2ins" in kinds and n + 2 <= max_letters else _NO_SYMBOLS
-    if not (q or r) or components is None:
-        return (), q, r
-    lengths = tuple(map(len, components))
-    small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
-    return (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r), q, r
+    inserted = ()
+    if (q or r) and names is not None:
+        lengths = tuple(map(len, packed.split("\0")))
+        small = 2 * n + len(lengths) <= _SHARED_MAX_GAPS
+        inserted = (_shared_insertion_sites if small else _insertion_sites)(lengths, q, r)
+    return matched, inserted, q_codes if q else "", r_codes if r else []
 
 
 _MATCH_SET = frozenset(MATCH_KINDS)

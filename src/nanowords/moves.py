@@ -25,8 +25,7 @@ from .core import (
     rank_letters,
 )
 from .invariants import invariant_lines
-from .kernel import (ALL_KINDS, MATCH_KINDS, MoveSite, _children, _expand, _inserted, _sites,
-                     _step_site)
+from .kernel import ALL_KINDS, MoveSite, _children, _expand, _sites, _step_site
 
 
 class StaleSite(NanowordError):
@@ -41,9 +40,12 @@ UNKNOWN = "unknown"
 def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     """All admissible sites of the requested kinds (None: every kind), in a fixed order.
 
-    phrase is a Nanophrase, a CanonicalForm or a form's key.  A form
-    carries no alphabet and is read over moves.alphabet as
-    form.to_phrase would build it, so its sites name letters by
+    phrase is a Nanophrase, a CanonicalForm or a form's key, each read off
+    a key by kernel._sites.  A phrase is read off its canonical form's
+    key, which keeps its positions and component boundaries and whose
+    rank r letter is phrase.letters[r - 1], so its sites name its own
+    letters.  A form carries no alphabet and is read over moves.alphabet
+    as form.to_phrase would build it, so its sites name letters by
     rank_letters and replay on that phrase.
 
     Sites come out grouped by kind in ALL_KINDS order; within a kind they
@@ -52,66 +54,17 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     Insertion kinds are enumerated only when max_letters leaves room for
     the new letters.
     """
-    wanted = set(ALL_KINDS if kinds is None else kinds)
     if isinstance(phrase, CanonicalForm):
         phrase = phrase.key
     if isinstance(phrase, str):
-        matched, inserted, _q, _r = _sites(phrase, rank_letters(ord(phrase[0])), moves, wanted,
-                                           max_letters)
-        return [site for site, _child in matched] + list(inserted)
-    if moves.alphabet != phrase.alphabet:
+        key, names = phrase, rank_letters(ord(phrase[0]))
+    elif moves.alphabet != phrase.alphabet:
         raise AlphabetMismatch("move system and phrase use different alphabets")
-    # A key is read by the expansion kernel; a phrase, which would first
-    # have to be packed into one, is scanned on its own letters.
-    # partner[p] is the other occurrence of the letter at p; joined[p] says
-    # that p and p + 1 are adjacent in one component.  The first pair
-    # (i, i + 1) of a matched pattern names its partner pairs, so each kind
-    # has one candidate per adjacent pair, tested in O(1).  Only the
-    # matched kinds read them.
-    sites = []
-    if not wanted.isdisjoint(MATCH_KINDS):
-        flat, comp_of, proj = phrase.flat, phrase.comp_of, phrase.proj
-        joined = [a == b for a, b in zip(comp_of, comp_of[1:])] + [False]
-        adj = [p for p, ok in enumerate(joined) if ok]
-        partner, first = [0] * len(flat), {}
-        for p, ltr in enumerate(flat):
-            other = first.setdefault(ltr, p)
-            partner[p], partner[other] = other, p
-
-    if "M1" in wanted:
-        for p in adj:
-            if flat[p] == flat[p + 1] and proj[flat[p]] in moves.q:
-                sites.append(MoveSite("M1", (p, p + 1), (flat[p],)))
-
-    if "M2" in wanted:
-        for i in adj:
-            j = partner[i + 1]
-            if j > i + 1 and joined[j] and partner[i] == j + 1:
-                a, b = flat[i], flat[i + 1]
-                if (proj[a], proj[b]) in moves.r:
-                    sites.append(MoveSite("M2", (i, i + 1, j, j + 1), (a, b)))
-
-    if "M3" in wanted:
-        for i in adj:
-            j, l = partner[i], partner[i + 1]
-            if i + 1 < j < l - 1 and joined[j] and joined[l] and partner[j + 1] == l + 1:
-                a, b, c = flat[i], flat[i + 1], flat[j + 1]
-                if (proj[a], proj[b], proj[c]) in moves.s:
-                    sites.append(MoveSite("M3", (i, i + 1, j, j + 1, l, l + 1), (a, b, c)))
-
-    if "M3inv" in wanted:
-        for i in adj:
-            j = partner[i + 1] - 1
-            if j <= i + 1:  # also keeps j from going negative
-                continue
-            l = partner[j]
-            if j < l - 1 and joined[j] and joined[l] and partner[i] == l + 1:
-                a, b, c = flat[i + 1], flat[i], flat[j]
-                if (proj[a], proj[b], proj[c]) in moves.s:
-                    sites.append(MoveSite("M3inv", (i, i + 1, j, j + 1, l, l + 1), (a, b, c)))
-
-    inserted, _q, _r = _inserted(phrase.n_letters, phrase.components, moves, wanted, max_letters)
-    return sites + list(inserted)
+    else:
+        key, names = canonical_form(phrase).key, phrase.letters
+    wanted = set(ALL_KINDS if kinds is None else kinds)
+    matched, inserted, _q, _r = _sites(key, names, moves, wanted, max_letters)
+    return [site for site, _child in matched] + list(inserted)
 
 
 def _check_match(phrase, site, expected):

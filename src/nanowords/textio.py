@@ -111,11 +111,13 @@ def render_phrase_line(phrase):
     return " | ".join(" ".join(comp) or EMPTY_MARK for comp in phrase.components)
 
 
-def render_alphabet_lines(alphabet):
+def render_alphabet_lines(alphabet, s=None):
     lines = [f"alpha: {' '.join(alphabet.symbols)}"]
     pairs = alphabet.tau_pairs()
     if pairs:
         lines.append(f"tau: {' '.join(f'{a}={b}' for a, b in pairs)}")
+    if s is not None:
+        lines.append(f"S: {' / '.join(' '.join(t) for t in s)}")
     return lines
 
 

@@ -109,19 +109,19 @@ def test_budget_below_the_enumeration_is_rejected():
         classify(_context("curves", 1), 2, 1, 100)
 
 
-def _one_way_expand(target):
+def _one_way_children(target):
     # Every other form moves to target, and nothing moves back.
-    def expand(form, moves, max_letters):
-        return () if form == target else ((None, target),)
+    def children(form, moves, max_letters):
+        return () if form == target else (target,)
 
-    return expand
+    return children
 
 
 def test_closures_that_meet_raise(monkeypatch):
     alpha = Alphabet(("a",))
     ctx = SetContext(None, alpha, 1, MoveSystem(alpha, q=(), r=(), s=()), None)
     target = canonical_form(ph(alpha, "ABCABC", {"A": "a", "B": "a", "C": "a"}))
-    monkeypatch.setattr(nanowords.classification, "_expand", _one_way_expand(target.key))
+    monkeypatch.setattr(nanowords.classification, "_children", _one_way_children(target.key))
     with pytest.raises(ConsistencyError, match="meet"):
         classify(ctx, 1, 3, 100)
 
@@ -129,7 +129,7 @@ def test_closures_that_meet_raise(monkeypatch):
 def test_invariant_change_along_a_move_raises(monkeypatch, curves):
     ctx = _context("curves", 1)
     target = canonical_form(ph(curves.base_alphabet, "ABAB", {"A": "a", "B": "a"}))
-    monkeypatch.setattr(nanowords.classification, "_expand", _one_way_expand(target.key))
+    monkeypatch.setattr(nanowords.classification, "_children", _one_way_children(target.key))
     with pytest.raises(ConsistencyError, match="disagree on invariants"):
         classify(ctx, 0, 2, 100)
 

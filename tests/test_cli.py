@@ -222,6 +222,32 @@ class TestLiftProject:
         assert code == 0
         assert "alpha: x y" in out and "proj: A=x_1_2" in out
 
+    def test_lift_and_project_keep_the_records_s_line(self, capsys, tmp_path):
+        # S = {(a,a,a)} admits no M3 on these all-b words, so the search is
+        # inconclusive; under the default diagonal S one M3 relates them.
+        system = "alpha: a b\ntau: a=b\nS: a a a\n"
+        words = ("A B A C B C", "B A C A C B")
+
+        def verdict(*files):
+            code, out, _ = run(capsys, "equiv", *files, "--k", "1", "--max-letters", "3")
+            return code, out.splitlines()[0]
+
+        def rewrite(*argv):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and "S: a a a" in out.splitlines()
+            return write(tmp_path, f"{argv[0]}-{argv[1].rsplit('/', 1)[-1]}", out)
+
+        unknown = (4, "verdict: Unknown")
+        bases = [write(tmp_path, f"p{i}.txt", f"{system}proj: A=b B=b C=b\nphrase: {w}\n")
+                 for i, w in enumerate(words)]
+        assert verdict(*bases) == unknown
+        assert verdict(*[rewrite("lift", f) for f in bases]) == unknown
+        lifted = [write(tmp_path, f"w{i}.txt",
+                        f"{system}proj: A=b_1_1 B=b_1_1 C=b_1_1\nphrase: {w}\n")
+                  for i, w in enumerate(words)]
+        assert verdict(*lifted) == unknown
+        assert verdict(*[rewrite("project", f, "--k", "1") for f in lifted]) == unknown
+
 
 class TestEnumerate:
     def test_three_words_on_two_letters(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ from nanowords import (
     ALL_KINDS,
     BUILTIN_NAMES,
     Alphabet,
+    AlphabetMismatch,
     INSERTION_KINDS,
     MATCH_KINDS,
     CanonicalForm,
@@ -57,6 +58,11 @@ class TestSiteFinding:
         moves = MoveSystem.standard(one_symbol, [])
         p = ph(one_symbol, "ABAB", {"A": "a", "B": "a"})
         assert _sites(p, moves, kinds=("M2",)) == []
+
+    def test_a_phrase_over_another_alphabet_is_rejected(self, ab_alphabet, one_symbol):
+        p = ph(ab_alphabet, "AA", {"A": "a"})
+        with pytest.raises(AlphabetMismatch):
+            _sites(p, MoveSystem.standard(one_symbol, []))
 
     def test_abba_pair_deletion(self, one_symbol):
         moves = MoveSystem.standard(one_symbol, [])
@@ -744,6 +750,13 @@ class TestEquivalent:
         p2 = ph(one_symbol, "A|A", {"A": "a"})
         verdict = equivalent(p1, p2, moves, max_letters=4, max_states=100)
         assert verdict.status == "not_equivalent"
+
+    def test_phrases_over_another_alphabet_are_rejected(self, ab_alphabet, one_symbol):
+        aa = ph(ab_alphabet, "AA", {"A": "a"})
+        empty = ph(ab_alphabet, "", {})
+        with pytest.raises(AlphabetMismatch):
+            equivalent(aa, empty, MoveSystem.standard(one_symbol, []), max_letters=4,
+                       max_states=100)
 
     def test_parity_separation_is_certified_by_exhaustion(self, one_symbol):
         # Without doubled-letter moves the letter count keeps its parity,
