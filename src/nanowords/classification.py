@@ -1,13 +1,15 @@
 """Classification of enumerated phrases up to the gated moves.
 
 `classify` closes one class at a time: a breadth-first search from each
-enumerated form that no earlier closure reached.  Inside the letter
-budget every move has its inverse (M1/M1ins, M2/M2ins, M3/M3inv, each
-gated by the same Q/R/S member), so one seed's closure is its whole
-class.  Each class is labelled with its guaranteed invariants, which
-must agree along every move: every state's raw values are read off its
-key (invariants.key_reader) and compared with its seed's, and only the
-returned classes are rendered.
+enumerated form that no earlier closure reached.  The seeds are the
+enumeration's keys (core._enumerate_keys), so no phrase is built.
+Inside the letter budget every move has its inverse (M1/M1ins, M2/M2ins,
+M3/M3inv, each gated by the same Q/R/S member), so one seed's closure is
+its whole class.  Each class is labelled with its guaranteed invariants,
+which must agree along every move: every state's raw values are read off
+its key (invariants.key_reader, which reads each rank pattern's slots
+and interleaved pairs through a bounded memo) and compared with its
+seed's, and only the returned classes are rendered.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
-from .core import (Alphabet, CanonicalForm, ConsistencyError, MoveSystem, canonical_form,
-                   enumerate_nanophrases)
+from .core import Alphabet, CanonicalForm, ConsistencyError, MoveSystem, _enumerate_keys
 from .invariants import key_reader, render_rows
 from .kernel import _children
 from .lift import LiftedAlphabet
@@ -50,9 +51,7 @@ def classify(ctx, n_letters, max_letters, max_states):
     """
     if max_letters < n_letters:
         raise ValueError("max_letters must cover the enumeration")
-    seeds = list(dict.fromkeys(
-        canonical_form(phrase).key for n in range(n_letters + 1)
-        for phrase in enumerate_nanophrases(ctx.alphabet, n, ctx.k)))
+    seeds = [key for n in range(n_letters + 1) for key in _enumerate_keys(ctx.alphabet, n, ctx.k)]
     names, values_of = key_reader(ctx.alphabet, ctx.k, ctx.moves, ctx.lifted)
     home, values, certified = {}, {}, {}
     truncated = False

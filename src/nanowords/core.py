@@ -315,8 +315,8 @@ class CanonicalForm:
         return self.packed.count("\0") + 1
 
     def serialize(self):
-        body = " ".join("|" if ch == "\0" else str(ord(ch)) for ch in self.packed)
-        return f'{body} ; {" ".join(self.proj_seq)}'.strip()
+        # "r " per rank r and "| " per boundary, so a nonempty body ends in a space.
+        return f'{self.packed.translate(_TEXT)}; {" ".join(self.proj_seq)}'.strip()
 
     def to_phrase(self, alphabet):
         """Materialize the canonical representative over an alphabet."""
@@ -349,6 +349,19 @@ class CanonicalForm:
     def __str__(self):
         return self.serialize()
 
+
+class _RankText(dict):
+    """str.translate table of serialize: rank r to "r ", a boundary to "| ".
+
+    Filled on first use of each rank.
+    """
+
+    def __missing__(self, rank):
+        self[rank] = text = f"{rank} " if rank else "| "
+        return text
+
+
+_TEXT = _RankText()
 
 # The slot setter bypasses __setattr__, which refuses every assignment.
 _new_object = object.__new__
@@ -435,6 +448,17 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _cuts(flat, k):
+    # A rank sequence cut into k ordered components, every way, in
+    # enumeration order; each component is a slice of `flat`.
+    for sizes in _compositions(len(flat), k):
+        comps, start = [], 0
+        for size in sizes:
+            comps.append(flat[start:start + size])
+            start += size
+        yield comps
+
+
 def enumerate_nanophrases(alphabet, n_letters, k):
     """One canonical representative per isomorphism class.
 
@@ -449,12 +473,20 @@ def enumerate_nanophrases(alphabet, n_letters, k):
         raise ValueError("k must be >= 1")
     names = rank_letters(n_letters)
     for pattern in _double_occurrence_patterns(n_letters):
-        flat = tuple(names[r - 1] for r in pattern)
-        for sizes in _compositions(2 * n_letters, k):
-            comps, start = [], 0
-            for size in sizes:
-                comps.append(flat[start:start + size])
-                start += size
+        for comps in _cuts(tuple(names[r - 1] for r in pattern), k):
             shape = Nanophrase(alphabet, comps, dict.fromkeys(names), validate=False)
             for assignment in itertools.product(alphabet.symbols, repeat=n_letters):
                 yield shape._with_proj(dict(zip(names, assignment)))
+
+
+def _enumerate_keys(alphabet, n_letters, k):
+    """The keys of canonical_form(p) for p in enumerate_nanophrases(...), in its order.
+
+    An enumerated phrase is its own canonical representative, so its key
+    is its ranks and its assignment's codes; no phrase is built.
+    """
+    codes = list(map("".join, itertools.product(_encode_symbols(alphabet.symbols),
+                                                repeat=n_letters)))
+    for pattern in _double_occurrence_patterns(n_letters):
+        for comps in _cuts("".join(map(chr, pattern)), k):
+            yield from map((chr(n_letters) + "\0".join(comps)).__add__, codes)

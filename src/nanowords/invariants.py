@@ -21,6 +21,8 @@ canonical key's ranks and codes (key_reader, which builds no phrase).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 
 from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of
 from .lift import _require_lifted_word
@@ -209,56 +211,88 @@ def _lifted_parts(word, lifted):
     return [lifted.part(proj[ltr]) for ltr in word.letters]
 
 
-def _key_parts(key, part):
-    """Letters, their occurrences and (symbol, i, j) records off a canonical key.
+def _interleaved_pairs(spans):
+    """The interleaved letter pairs, flat: (a, b, a', b', ...), from (first, second) spans.
 
-    Letters are 0..n-1 in rank order, and occurrences are packed indices
-    found as in kernel._sites; these grow with flat positions, which is
-    all _profile_table compares.  i and j count the boundaries before them,
-    or come from `part` (LiftedAlphabet.part) at the word level.
+    The spans are the letters' two positions, in first-occurrence order
+    (any increasing positions will do).  Letters a < b interleave when
+    a1 < b1 < a2 < b2; the scan for partners of a stops at the first b
+    with b1 > a2.
     """
-    n = ord(key[0])
-    packed = key[1:len(key) - n]
-    ranks = list(map(chr, range(1, n + 1)))
-    spans = list(zip(map(packed.find, ranks), map(packed.rfind, ranks)))
-    symbols = map(_symbol_of.__getitem__, key[len(key) - n:])
-    if part is None:
-        count = packed.count
-        parts = [(s, count("\0", 0, f) + 1, count("\0", 0, l) + 1)
-                 for s, (f, l) in zip(symbols, spans)]
-    else:
-        parts = list(map(part, symbols))
-    return range(n), spans.__getitem__, parts
-
-
-def _profile_table(alphabet, letters, occurrences, parts):
-    """letter -> SigmaVector, from one pass over the interleaved letter pairs.
-
-    A pair a < b in first-occurrence order interleaves when
-    a1 < b1 < a2 < b2.  It adds epsilon(|b|) at b's second slot to a's
-    profile and -epsilon(|a|) at a's first slot to b's: the entries that
-    `sigma_table` lists for (a, b) and (b, a).  Since first occurrences
-    increase along `letters`, the scan for partners of a stops at the
-    first b with b1 > a2.
-    """
-    spans = list(map(occurrences, letters))
-    orbit, eps, raws = alphabet._orbit_index, alphabet._epsilon, {}
+    spans, pairs = list(spans), []
     for a, (_a1, a2) in enumerate(spans):
         for b in range(a + 1, len(spans)):
             b1, b2 = spans[b]
             if b1 > a2:
                 break
             if b2 > a2:
-                (sa, slot_a, _ja), (sb, _ib, slot_b) = parts[a], parts[b]
-                pa, pb = orbit[sa], orbit[sb]
-                raw = raws.setdefault(a, {})
-                raw[slot_b, pa, pb] = raw.get((slot_b, pa, pb), 0) + eps[sb]
-                raw = raws.setdefault(b, {})
-                raw[slot_a, pb, pa] = raw.get((slot_a, pb, pa), 0) - eps[sa]
+                pairs += a, b
+    return tuple(pairs)
+
+
+# Every slot of a one-component pattern is 1; zip stops at the symbols.
+_ONES = repeat(1)
+
+
+@lru_cache(maxsize=512)
+def _rank_pattern(packed):
+    # A key's records and pairs that need no symbol, per rank pattern
+    # (packed ranks and boundaries): each rank's first and second
+    # component slots, and _interleaved_pairs.  Rank r first occurs at
+    # packed.find(chr(r)), as in kernel._sites.  An entry with its key
+    # takes about 0.4 KB at 7 letters, so a full memo about 0.2 MB; a
+    # classify BFS meets few patterns, and 512 of them keep its hit
+    # ratio near that of an unbounded memo.
+    n = (len(packed) - packed.count("\0")) // 2
+    ranks = list(map(chr, range(1, n + 1)))
+    firsts, seconds = list(map(packed.find, ranks)), list(map(packed.rfind, ranks))
+    pairs = _interleaved_pairs(zip(firsts, seconds))
+    if "\0" not in packed:
+        return _ONES, _ONES, pairs
+    count = packed.count
+    return (tuple([count("\0", 0, f) + 1 for f in firsts]),
+            tuple([count("\0", 0, l) + 1 for l in seconds]), pairs)
+
+
+def _key_parts(key, part):
+    """Letters, interleaved pairs and (symbol, i, j) records off a canonical key.
+
+    Letters are 0..n-1 in rank order.  The pairs and the slots i and j
+    (the boundaries before each occurrence, plus one) depend only on the
+    rank pattern and come from the _rank_pattern memo; each key reads
+    only its codes, and at the word level takes i and j from `part`
+    (LiftedAlphabet.part) instead.
+    """
+    n = ord(key[0])
+    firsts, seconds, pairs = _rank_pattern(key[1:len(key) - n])
+    symbols = map(_symbol_of.__getitem__, key[len(key) - n:])
+    parts = list(zip(symbols, firsts, seconds) if part is None else map(part, symbols))
+    return range(n), pairs, parts
+
+
+def _profile_table(alphabet, letters, pairs, parts):
+    """letter -> SigmaVector, from the interleaved letter pairs (_interleaved_pairs).
+
+    A pair a < b adds epsilon(|b|) at b's second slot to a's profile and
+    -epsilon(|a|) at a's first slot to b's: the entries that
+    `sigma_table` lists for (a, b) and (b, a).
+    """
+    orbit, eps, raws, pair = alphabet._orbit_index, alphabet._epsilon, {}, iter(pairs)
+    for a, b in zip(pair, pair):
+        (sa, slot_a, _ja), (sb, _ib, slot_b) = parts[a], parts[b]
+        pa, pb = orbit[sa], orbit[sb]
+        raw = raws.setdefault(a, {})
+        raw[slot_b, pa, pb] = raw.get((slot_b, pa, pb), 0) + eps[sb]
+        raw = raws.setdefault(b, {})
+        raw[slot_a, pb, pa] = raw.get((slot_a, pb, pa), 0) - eps[sa]
     table = dict.fromkeys(letters, _ZERO)
     for a, raw in raws.items():
         table[letters[a]] = SigmaVector.build(alphabet.n_free, raw)
     return table
+
+
+def _word_pairs(word):
+    return _interleaved_pairs(map(word.occurrences, word.letters))
 
 
 def _profile_vectors(phrase, parts=None):
@@ -270,7 +304,7 @@ def _profile_vectors(phrase, parts=None):
     """
     profiles = phrase._profiles
     if profiles is None:
-        profiles = _profile_table(phrase.alphabet, phrase.letters, phrase.occurrences,
+        profiles = _profile_table(phrase.alphabet, phrase.letters, _word_pairs(phrase),
                                   _phrase_parts(phrase) if parts is None else parts)
         phrase._profiles = profiles
     return profiles
@@ -385,7 +419,7 @@ def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
     parts = _lifted_parts(word, lifted)
     return _census(lifted.base, lifted.k, word.letters, parts,
-                   _profile_table(lifted.base, word.letters, word.occurrences, parts))
+                   _profile_table(lifted.base, word.letters, _word_pairs(word), parts))
 
 
 def lk_lifted(word, lifted):
@@ -442,11 +476,9 @@ _REGISTRY = {
 }
 
 
-def _values(names, base, k, letters, occurrences, parts, profiles=None):
-    # The raw values of the named rows, from one word's records; the
-    # profile table is built here unless the caller kept one.
-    if profiles is None and "So" in names:
-        profiles = _profile_table(base, letters, occurrences, parts)
+def _values(names, base, k, letters, parts, profiles):
+    # The raw values of the named rows, from one word's records and its
+    # profile table (None when no row reads it).
     return tuple([_REGISTRY[name][0](base, k, letters, parts, profiles) for name in names])
 
 
@@ -469,9 +501,10 @@ def invariant_lines(word, moves, lifted=None):
         names = lifted_invariants_applicable(moves, lifted)
         if not names:
             return []
-        base, k, parts, profiles = lifted.base, lifted.k, _lifted_parts(word, lifted), None
-    return render_rows(names, _values(names, base, k, word.letters, word.occurrences, parts,
-                                      profiles))
+        base, k, parts = lifted.base, lifted.k, _lifted_parts(word, lifted)
+        profiles = (_profile_table(base, word.letters, _word_pairs(word), parts)
+                    if "So" in names else None)
+    return render_rows(names, _values(names, base, k, word.letters, parts, profiles))
 
 
 def render_rows(names, values):
@@ -496,4 +529,11 @@ def key_reader(alphabet, k, moves, lifted=None):
         k = lifted.k
     if names and alphabet != moves.alphabet:
         raise AlphabetMismatch("move system and keys use different alphabets")
-    return names, lambda key: _values(names, base, k, *_key_parts(key, part))
+    so = "So" in names
+
+    def values(key):
+        letters, pairs, parts = _key_parts(key, part)
+        return _values(names, base, k, letters, parts,
+                       _profile_table(base, letters, pairs, parts) if so else None)
+
+    return names, values

@@ -1,5 +1,7 @@
+import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,11 +12,12 @@ from nanowords import (
     builtin_data,
     canonical_form,
     enumerate_nanophrases,
+    lift_alphabet,
     phi,
 )
 from nanowords.classification import SetContext, classify
 from nanowords.core import ConsistencyError
-from nanowords.invariants import invariant_lines
+from nanowords.invariants import invariant_lines, key_reader
 from nanowords.kernel import _expand
 from nanowords.moves import NeighborCache
 import nanowords.classification
@@ -170,34 +173,47 @@ def test_cut_closures_leave_same_key_classes_unknown():
 
 
 def _lifted_partition(forms, data, max_letters):
-    """The forms grouped by the closure of phi(form) under the lifted moves, and its states."""
+    """The forms grouped by the closure of phi(form) under the lifted moves, and its states.
+
+    Every lifted state must carry its start's word-level rows, read off
+    its key as classify's gate does.
+    """
+    _names, values = key_reader(data.lifted.alphabet, 1, data.lifted_moves, data.lifted)
     home, groups = {}, {}
     for form in forms:
         start = canonical_form(phi(form.to_phrase(data.base_alphabet), data.lifted)).key
         if start not in home:
             home[start] = start
-            queue = deque([start])
+            value, queue = values(start), deque([start])
             while queue:
                 for _site, child in _expand(queue.popleft(), data.lifted_moves, max_letters):
                     if child not in home:
+                        assert values(child) == value, CanonicalForm.from_key(child)
                         home[child] = start
                         queue.append(child)
         groups.setdefault(home[start], set()).add(form)
     return {frozenset(group) for group in groups.values()}, len(home)
 
 
-def _assert_phi_keeps_the_partition(name, k, n, classes, base_states, lifted_states):
-    # Base classes equal lifted classes through phi, within one letter
-    # budget: phi(p) and phi(q) are joined by lifted moves inside n + 2
-    # letters exactly when p and q are joined by base moves.  Nothing is
-    # certified (Q is not empty), so this compares the budgeted closures.
-    data = builtin_data(name, k)
-    ctx = SetContext(name, data.base_alphabet, k, data.base_moves, None)
+def _phi_partitions(data, k, n):
+    """Base classes and lifted closures through phi, with their state counts.
+
+    Both are closures within one letter budget, n + 2: phi(p) and phi(q)
+    should be joined by lifted moves exactly when p and q are joined by
+    base moves.  Nothing is certified (Q is not empty), so this compares
+    the budgeted closures.
+    """
+    ctx = SetContext(None, data.base_alphabet, k, data.base_moves, None)
     seeds, base, _unknown, states, truncated = classify(ctx, n, n + 2, 10 ** 6)
-    assert not truncated and (len(base), states) == (classes, base_states)
+    assert not truncated
     lifted, reached = _lifted_partition(seeds, data, n + 2)
-    assert reached == lifted_states
-    assert lifted == {frozenset(members) for _rep, _key, members in base}
+    return {frozenset(members) for _rep, _key, members in base}, lifted, states, reached
+
+
+def _assert_phi_keeps_the_partition(name, k, n, classes, base_states, lifted_states):
+    base, lifted, states, reached = _phi_partitions(builtin_data(name, k), k, n)
+    assert (len(base), states, reached) == (classes, base_states, lifted_states)
+    assert lifted == base
 
 
 @pytest.mark.parametrize("name,k,n,classes,base_states,lifted_states", [
@@ -217,3 +233,45 @@ def test_base_classes_are_lifted_classes_through_phi(name, k, n, classes, base_s
 def test_base_classes_are_lifted_classes_through_phi_at_scale(name, k, n, classes, base_states,
                                                               lifted_states):
     _assert_phi_keeps_the_partition(name, k, n, classes, base_states, lifted_states)
+
+
+# The same correspondence on random homotopy data, beyond the built-ins.
+
+_ALPHABETS = (Alphabet(("a", "b"), {"a": "b"}), Alphabet(("a", "b")), Alphabet(("a",)))
+
+
+def _random_homotopy_data(rng, index):
+    """Q the whole alphabet, R the graph of tau and a random S, lifted to k = 2.
+
+    The alphabet is a<->b, {a, b} fixed or {a}, in turn; each triple of
+    its cube is in S with probability 0.4.
+    """
+    alphabet = _ALPHABETS[index % 3]
+    s = [t for t in product(alphabet.symbols, repeat=3) if rng.random() < 0.4]
+    lifted, lifted_moves = lift_alphabet(alphabet, s, 2)
+    return SimpleNamespace(base_alphabet=alphabet, base_moves=MoveSystem.standard(alphabet, s),
+                           lifted=lifted, lifted_moves=lifted_moves)
+
+
+def _random_systems(count):
+    rng = random.Random("homotopy-data")
+    return [_random_homotopy_data(rng, index) for index in range(count)]
+
+
+def _assert_phi_keeps_random_partitions(systems, n):
+    for data in systems:
+        base, lifted, _states, _reached = _phi_partitions(data, 2, n)
+        assert lifted == base, data.base_moves
+
+
+def test_base_classes_are_lifted_classes_on_random_homotopy_data_slice():
+    systems = _random_systems(4)
+    assert any(not data.base_moves.s_is_sub_diagonal for data in systems)
+    _assert_phi_keeps_random_partitions(systems, 2)
+
+
+@pytest.mark.slow
+def test_base_classes_are_lifted_classes_on_random_homotopy_data():
+    systems = _random_systems(12)
+    _assert_phi_keeps_random_partitions(systems, 2)
+    _assert_phi_keeps_random_partitions(systems[:4], 3)

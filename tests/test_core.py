@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from nanowords import (
     ALL_KINDS,
+    BUILTIN_NAMES,
     Alphabet,
     AlphabetMismatch,
     CanonicalForm,
@@ -29,6 +30,7 @@ from nanowords import (
     validate_nanophrase,
 )
 import nanowords
+from nanowords.core import _enumerate_keys
 from nanowords.moves import _expand
 from conftest import ph
 
@@ -172,6 +174,10 @@ class TestCanonicalFormContract:
         for index, comp in enumerate(pattern):
             tokens += ["|"] * bool(index) + [str(r) for r in comp]
         assert form.serialize() == f'{" ".join(tokens)} ; {" ".join(proj_seq)}'.strip()
+        # serialize translates the packed ranks with one table; the
+        # generator text it replaced reads the same.
+        body = " ".join("|" if ch == "\0" else str(ord(ch)) for ch in form.packed)
+        assert form.serialize() == f'{body} ; {" ".join(form.proj_seq)}'.strip()
 
     def test_long_word_names_and_serialization(self, ab_alphabet):
         form = CanonicalForm((_LONG + _LONG[::-1],), ("a",) * 300)
@@ -428,6 +434,17 @@ class TestEnumeration:
                         oracle.add(canonical_form(Nanophrase(alphabet, comps, proj)))
             mine = set(canonical_form(p) for p in enumerate_nanophrases(alphabet, n, k))
             assert mine == oracle
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_key_enumerator_matches_the_phrase_enumeration(self, name):
+        # Keys in enumeration order, on the base alphabet with k components
+        # and on the lifted alphabet's one-component words.
+        for k in (1, 2, 3):
+            data = builtin_data(name, k)
+            for alphabet, comps in ((data.base_alphabet, k), (data.lifted.alphabet, 1)):
+                for n in range(4):
+                    assert list(_enumerate_keys(alphabet, n, comps)) == [
+                        canonical_form(p).key for p in enumerate_nanophrases(alphabet, n, comps)]
 
     def test_isomorphism_is_equivalence_relation(self, one_symbol):
         sample = list(enumerate_nanophrases(one_symbol, 3, 1))

@@ -45,6 +45,8 @@ from nanowords.invariants import (
     _lifted_parts,
     _profile_table,
     _profile_vectors,
+    _rank_pattern,
+    _word_pairs,
     invariant_lines,
     key_reader,
     render_rows,
@@ -419,7 +421,7 @@ def _check_phrase(phrase, moves):
 
 
 def _check_lifted(word, lifted):
-    profiles = _profile_table(lifted.base, word.letters, word.occurrences,
+    profiles = _profile_table(lifted.base, word.letters, _word_pairs(word),
                               _lifted_parts(word, lifted))
     reference = _reference_lifted_profiles(word, lifted)
     assert profiles == reference
@@ -579,12 +581,27 @@ def _key_level(name, k):
     return data.base_alphabet, k, data.base_moves, None
 
 
+def _flush_rank_patterns():
+    # Evicts every entry: one-letter patterns behind 600 or more
+    # boundaries, which no key read here has.
+    for boundaries in range(600, 600 + _rank_pattern.cache_info().maxsize):
+        _rank_pattern("\0" * boundaries + "\1\1")
+
+
 def _assert_key_reader(keys, alphabet, k, moves, lifted):
+    # Each key is read three ways: with a cold rank-pattern memo, with a
+    # warm one, and after every entry was evicted, all giving one value.
     names, values = key_reader(alphabet, k, moves, lifted)
     assert names
+    cold = []
     for key in keys:
+        _rank_pattern.cache_clear()
+        cold.append(values(key))
+        assert values(key) == cold[-1] and _rank_pattern.cache_info().hits == 1
+    _flush_rank_patterns()
+    assert [values(key) for key in keys] == cold
+    for key, got in zip(keys, cold):
         phrase = CanonicalForm.from_key(key).to_phrase(alphabet)
-        got = values(key)
         if lifted is None:
             expected = tuple(_PUBLIC[name][0](phrase, moves) for name in names)
         else:
@@ -617,6 +634,25 @@ def test_key_reader_matches_the_phrase_path_on_grown_words(name, k):
     forms = grown_forms(moves, comps, 8, name)
     assert max(form.n_letters for form in forms) >= 15
     _assert_key_reader([form.key for form in forms], alphabet, comps, moves, lifted)
+
+
+def test_rank_pattern_matches_the_phrase_occurrences():
+    # The memo's slots and pairs against component_pair and a brute-force
+    # interleaving test on occurrences, on random phrases.
+    rng = random.Random("rank-pattern")
+    alphabet = Alphabet(("a",))
+    for _ in range(400):
+        n, k = rng.randint(0, 10), rng.randint(1, 3)
+        phrase = _random_phrase(rng, alphabet, n, k)
+        key = canonical_form(phrase).key
+        firsts, seconds, pairs = _rank_pattern(key[1:len(key) - n])
+        assert list(zip(firsts, seconds, phrase.letters)) == [
+            phrase.component_pair(ltr) + (ltr,) for ltr in phrase.letters]
+        spans = list(map(phrase.occurrences, phrase.letters))
+        assert sorted(zip(pairs[::2], pairs[1::2])) == [
+            (a, b) for a, b in itertools.combinations(range(n), 2)
+            if spans[a][0] < spans[b][0] < spans[a][1] < spans[b][1]]
+        assert _word_pairs(phrase) == pairs
 
 
 def test_key_reader_rejects_keys_of_another_level(curves, diagonal):
