@@ -239,10 +239,10 @@ def _rank_pattern(packed):
     # A key's records and pairs that need no symbol, per rank pattern
     # (packed ranks and boundaries): each rank's first and second
     # component slots, and _interleaved_pairs.  Rank r first occurs at
-    # packed.find(chr(r)), as in kernel._sites.  An entry with its key
-    # takes about 0.4 KB at 7 letters, so a full memo about 0.2 MB; a
-    # classify BFS meets few patterns, and 512 of them keep its hit
-    # ratio near that of an unbounded memo.
+    # packed.find(chr(r)), as in kernel._sites.  A full memo of 7-letter
+    # patterns reads about 0.3 MB of RSS.  A classify BFS meets few
+    # patterns (647 on curves --n 3), and 512 entries keep its hit ratio
+    # (94.9% there) near an unbounded memo's (95.6%).
     n = (len(packed) - packed.count("\0")) // 2
     ranks = list(map(chr, range(1, n + 1)))
     firsts, seconds = list(map(packed.find, ranks)), list(map(packed.rfind, ranks))
