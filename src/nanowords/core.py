@@ -189,13 +189,12 @@ class Nanophrase:
     """k component words whose concatenation uses every letter twice.
 
     Values are immutable after construction; all operations on them are
-    pure functions returning new phrases.  `_profiles` memoises the
-    interleaving profile table of `invariants`; it is filled on first
-    use, and filling it twice gives the same table.
+    pure functions returning new phrases.  `_so` memoises the phrase's
+    census `invariants.so_phrase`, which `t_invariant` reads; it is
+    filled on first use, and filling it twice gives the same value.
     """
 
-    __slots__ = ("alphabet", "components", "proj", "letters", "flat", "comp_of", "_occ",
-                 "_profiles")
+    __slots__ = ("alphabet", "components", "proj", "letters", "flat", "comp_of", "_occ", "_so")
 
     def __init__(self, alphabet, components, proj, validate=True):
         components = tuple(tuple(comp) for comp in components)
@@ -226,7 +225,7 @@ class Nanophrase:
         self.letters = tuple(letters)
         self._occ = occ
         self.proj = {ltr: proj[ltr] for ltr in letters}
-        self._profiles = None
+        self._so = None
 
     def _with_proj(self, proj):
         """A phrase sharing this one's word structure, with its own projection.
@@ -242,7 +241,7 @@ class Nanophrase:
         phrase.letters = self.letters
         phrase._occ = self._occ
         phrase.proj = proj
-        phrase._profiles = None
+        phrase._so = None
         return phrase
 
     @property

@@ -8,7 +8,8 @@ At the phrase level (pair deletions gated by the graph of tau):
 * clv_phrase: per component, the parity of cross-component letters.
 * so_phrase: per component, a signed census of single-component letters
   bucketed by their interleaving profile (the map (B_P)_j).
-* t_invariant: the per-component collapse of the same data.
+* t_invariant: the per-component collapse of the same data, read off
+  so_phrase's value (t_from_so).
 
 The word-level analogues over a lifted alphabet read the component
 pair off each letter's subscripts; they agree with the phrase versions
@@ -298,16 +299,10 @@ def _word_pairs(word):
 def _profile_vectors(phrase, parts=None):
     """letter -> SigmaVector summing its signed interleavings with all others.
 
-    Filled on first use and kept in the phrase's `_profiles` slot, so
-    so_phrase, t_invariant and invariant_lines share one pass.  `parts`
-    are the phrase's records when the caller has already read them.
+    `parts` are the phrase's records when the caller has already read them.
     """
-    profiles = phrase._profiles
-    if profiles is None:
-        profiles = _profile_table(phrase.alphabet, phrase.letters, _word_pairs(phrase),
-                                  _phrase_parts(phrase) if parts is None else parts)
-        phrase._profiles = profiles
-    return profiles
+    return _profile_table(phrase.alphabet, phrase.letters, _word_pairs(phrase),
+                          _phrase_parts(phrase) if parts is None else parts)
 
 
 def _bucketed_census(bucket):
@@ -332,11 +327,18 @@ def _census(alphabet, k, letters, parts, profiles):
 
 
 def so_phrase(phrase, moves):
-    """The per-component signed census of single-component letters."""
+    """The per-component signed census of single-component letters.
+
+    Filled on first use and kept in the phrase's `_so` slot, so
+    t_invariant and later calls read it without a second census.
+    """
     _require_graph_tau(moves, phrase)
-    parts = _phrase_parts(phrase)
-    return _census(phrase.alphabet, phrase.k, phrase.letters, parts,
-                   _profile_vectors(phrase, parts))
+    so = phrase._so
+    if so is None:
+        parts = _phrase_parts(phrase)
+        so = phrase._so = _census(phrase.alphabet, phrase.k, phrase.letters, parts,
+                                  _profile_vectors(phrase, parts))
+    return so
 
 
 def _collapse(n_free, weighted):
@@ -348,34 +350,20 @@ def _collapse(n_free, weighted):
     return SigmaVector.build(n_free, raw) if raw else _ZERO
 
 
-def _t(alphabet, k, letters, parts, profiles):
-    """Per component, the epsilon-weighted collapsed profiles of its diagonal letters."""
-    eps, weighted = alphabet._epsilon, [[] for _ in range(k)]
-    for ltr, (s, i, j) in zip(letters, parts):
-        if i == j:
-            weighted[i - 1].append((profiles[ltr], eps[s]))
-    return tuple(_collapse(alphabet.n_free, comp) for comp in weighted)
-
-
 def t_invariant(phrase, moves):
-    """Per component, the epsilon-weighted sum of collapsed profiles.
-
-    One block per component: entry (p, q) accumulates, over the
-    single-component letters of that component, epsilon times the
-    letter's interleaving counts summed across component slots.
-    """
-    _require_graph_tau(moves, phrase)
-    parts = _phrase_parts(phrase)
-    return _t(phrase.alphabet, phrase.k, phrase.letters, parts, _profile_vectors(phrase, parts))
+    """Per component, the epsilon-weighted sum of collapsed profiles: t_from_so of So."""
+    return t_from_so(so_phrase(phrase, moves), phrase.alphabet.n_free)
 
 
 def t_from_so(so_value, n_free):
-    """Entry-sum recovery of the per-component blocks from an SoValue.
+    """T, read off an SoValue: per component, count * vector summed, slots collapsed.
 
-    Sums count * vector over each component map and collapses the
-    component slots.  Matches t_invariant on every phrase: each entry of
-    a letter's profile has the letter's own orbit as p, so no profile is
-    of type (iii) and the census keeps every nonzero one.
+    Entry (p, q) of a component's block accumulates, over that
+    component's single-component letters, epsilon times the letter's
+    interleaving counts summed across component slots.  The census
+    holds all of them: each entry of a letter's profile has the letter's
+    own orbit as p, so no profile is of type (iii), and a dropped count
+    is zero in the entries' ring.
     """
     return tuple(_collapse(n_free, comp_map) for comp_map in so_value.maps)
 
@@ -467,19 +455,26 @@ def _tuple_text(values):
     return "(" + ",".join(map(str, values)) + ")"
 
 
-# name -> (value from (alphabet, k, letters, parts, profiles), its rendering)
+# name -> (value from (alphabet, k, letters, parts, profiles), its rendering).
+# T has no value function: _values reads it off So's value.
 _REGISTRY = {
     "lk": (_lk, _tuple_text),
     "clv": (_clv, _tuple_text),
     "So": (_census, str),
-    "T": (_t, lambda blocks: "; ".join(f"{j}: {b}" for j, b in enumerate(blocks, start=1))),
+    "T": (None, lambda blocks: "; ".join(f"{j}: {b}" for j, b in enumerate(blocks, start=1))),
 }
 
 
 def _values(names, base, k, letters, parts, profiles):
     # The raw values of the named rows, from one word's records and its
-    # profile table (None when no row reads it).
-    return tuple([_REGISTRY[name][0](base, k, letters, parts, profiles) for name in names])
+    # profile table (None when no row reads it).  T follows So in every
+    # row list, and is read off the census just computed.
+    values = []
+    for name in names:
+        value = _REGISTRY[name][0]
+        values.append(t_from_so(values[-1], base.n_free) if value is None
+                      else value(base, k, letters, parts, profiles))
+    return tuple(values)
 
 
 def invariant_lines(word, moves, lifted=None):
@@ -487,23 +482,19 @@ def invariant_lines(word, moves, lifted=None):
 
     `lifted` selects the word level over that lifted alphabet; None
     selects the phrase level.  The word's (symbol, i, j) records are read
-    once and its profile table is built at most once (a phrase keeps
-    it).  There are no rows when the system guarantees no invariant.
+    once, its profile table is built at most once, and T is read off So.
+    There are no rows when the system guarantees no invariant.
     """
-    if lifted is None:
-        names = phrase_invariants_applicable(moves)
-        if not names:
-            return []
-        _require_graph_tau(moves, word)
-        base, k, parts = word.alphabet, word.k, _phrase_parts(word)
-        profiles = _profile_vectors(word, parts) if "So" in names else None
+    if lifted is None:  # _require_graph_tau raises or returns None
+        names, base, k = phrase_invariants_applicable(moves), word.alphabet, word.k
+        parts = names and (_require_graph_tau(moves, word) or _phrase_parts(word))
     else:
-        names = lifted_invariants_applicable(moves, lifted)
-        if not names:
-            return []
-        base, k, parts = lifted.base, lifted.k, _lifted_parts(word, lifted)
-        profiles = (_profile_table(base, word.letters, _word_pairs(word), parts)
-                    if "So" in names else None)
+        names, base, k = lifted_invariants_applicable(moves, lifted), lifted.base, lifted.k
+        parts = names and _lifted_parts(word, lifted)
+    if not names:
+        return []
+    profiles = (_profile_table(base, word.letters, _word_pairs(word), parts)
+                if "So" in names else None)
     return render_rows(names, _values(names, base, k, word.letters, parts, profiles))
 
 

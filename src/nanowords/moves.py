@@ -52,7 +52,7 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     ascend by positions, then gaps, then symbols.
 
     Insertion kinds are enumerated only when max_letters leaves room for
-    the new letters.
+    the new letters.  A kind not in ALL_KINDS raises NanowordError.
     """
     if isinstance(phrase, CanonicalForm):
         phrase = phrase.key
@@ -63,6 +63,8 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     else:
         key, names = canonical_form(phrase).key, phrase.letters
     wanted = set(ALL_KINDS if kinds is None else kinds)
+    if not wanted.issubset(ALL_KINDS):
+        raise NanowordError(f"unknown move kinds {sorted(wanted.difference(ALL_KINDS))}")
     matched, inserted, _q, _r = _sites(key, names, moves, wanted, max_letters)
     return [site for site, _child in matched] + list(inserted)
 

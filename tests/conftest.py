@@ -1,9 +1,11 @@
 import random
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from nanowords import (Alphabet, Nanophrase, apply_move, builtin_data, canonical_form,
-                       find_move_sites)
+from nanowords import (Alphabet, MoveSystem, Nanophrase, apply_move, builtin_data,
+                       canonical_form, find_move_sites, lift_alphabet)
 
 
 def ph(alphabet, spec, proj):
@@ -26,6 +28,29 @@ def grown_forms(moves, k, count, seed):
             phrase = apply_move(phrase, rng.choice(sites))
         forms.append(canonical_form(phrase))
     return forms
+
+
+_ALPHABETS = (Alphabet(("a", "b"), {"a": "b"}), Alphabet(("a", "b")), Alphabet(("a",)))
+
+
+def random_homotopy_data(rng, index, k):
+    """Q the whole alphabet, R the graph of tau and a random S, lifted to k components.
+
+    The alphabet is a<->b, {a, b} fixed or {a}, in turn; each triple of
+    its cube is in S with probability 0.4.
+    """
+    alphabet = _ALPHABETS[index % 3]
+    s = [t for t in product(alphabet.symbols, repeat=3) if rng.random() < 0.4]
+    lifted, lifted_moves = lift_alphabet(alphabet, s, k)
+    return SimpleNamespace(k=k, base_alphabet=alphabet,
+                           base_moves=MoveSystem.standard(alphabet, s),
+                           lifted=lifted, lifted_moves=lifted_moves)
+
+
+def random_systems(count, k=2):
+    """The first `count` seeded random homotopy data systems lifted to k components."""
+    rng = random.Random("homotopy-data" if k == 2 else f"homotopy-data-k{k}")
+    return [random_homotopy_data(rng, index, k) for index in range(count)]
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
-import random
 from collections import deque
-from itertools import combinations, product
-from types import SimpleNamespace
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +10,6 @@ from nanowords import (
     builtin_data,
     canonical_form,
     enumerate_nanophrases,
-    lift_alphabet,
     phi,
 )
 from nanowords.classification import SetContext, classify
@@ -21,7 +18,7 @@ from nanowords.invariants import invariant_lines, key_reader
 from nanowords.kernel import _expand
 from nanowords.moves import NeighborCache
 import nanowords.classification
-from conftest import ph
+from conftest import ph, random_systems
 
 
 def _context(name, k):
@@ -237,41 +234,36 @@ def test_base_classes_are_lifted_classes_through_phi_at_scale(name, k, n, classe
 
 # The same correspondence on random homotopy data, beyond the built-ins.
 
-_ALPHABETS = (Alphabet(("a", "b"), {"a": "b"}), Alphabet(("a", "b")), Alphabet(("a",)))
-
-
-def _random_homotopy_data(rng, index):
-    """Q the whole alphabet, R the graph of tau and a random S, lifted to k = 2.
-
-    The alphabet is a<->b, {a, b} fixed or {a}, in turn; each triple of
-    its cube is in S with probability 0.4.
-    """
-    alphabet = _ALPHABETS[index % 3]
-    s = [t for t in product(alphabet.symbols, repeat=3) if rng.random() < 0.4]
-    lifted, lifted_moves = lift_alphabet(alphabet, s, 2)
-    return SimpleNamespace(base_alphabet=alphabet, base_moves=MoveSystem.standard(alphabet, s),
-                           lifted=lifted, lifted_moves=lifted_moves)
-
-
-def _random_systems(count):
-    rng = random.Random("homotopy-data")
-    return [_random_homotopy_data(rng, index) for index in range(count)]
-
-
 def _assert_phi_keeps_random_partitions(systems, n):
     for data in systems:
-        base, lifted, _states, _reached = _phi_partitions(data, 2, n)
+        base, lifted, _states, _reached = _phi_partitions(data, data.k, n)
         assert lifted == base, data.base_moves
 
 
 def test_base_classes_are_lifted_classes_on_random_homotopy_data_slice():
-    systems = _random_systems(4)
+    systems = random_systems(4)
     assert any(not data.base_moves.s_is_sub_diagonal for data in systems)
     _assert_phi_keeps_random_partitions(systems, 2)
 
 
 @pytest.mark.slow
 def test_base_classes_are_lifted_classes_on_random_homotopy_data():
-    systems = _random_systems(12)
+    systems = random_systems(12)
     _assert_phi_keeps_random_partitions(systems, 2)
     _assert_phi_keeps_random_partitions(systems[:4], 3)
+
+
+# At k = 3 the chained lift of S has triples with subscripts i < j < l.
+
+def test_base_classes_are_lifted_classes_on_random_homotopy_data_at_k3_slice():
+    systems = random_systems(4, 3)
+    assert any(not data.base_moves.s_is_sub_diagonal for data in systems)
+    _assert_phi_keeps_random_partitions(systems, 1)
+    one_symbol = systems[2]
+    assert len(one_symbol.base_alphabet.symbols) == 1
+    _assert_phi_keeps_random_partitions([one_symbol], 2)
+
+
+@pytest.mark.slow
+def test_base_classes_are_lifted_classes_on_random_homotopy_data_at_k3():
+    _assert_phi_keeps_random_partitions(random_systems(12, 3), 2)

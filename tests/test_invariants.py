@@ -412,7 +412,6 @@ def _check_phrase(phrase, moves):
     profiles = _profile_vectors(phrase)
     reference = _sigma_sum_profiles(phrase, moves)
     assert profiles == reference
-    assert _profile_vectors(phrase) is profiles
     slots = {ltr: (phrase.proj[ltr],) + phrase.component_pair(ltr) for ltr in phrase.letters}
     assert (lk_phrase(phrase, moves), clv_phrase(phrase, moves)) == \
         _reference_lk_clv(phrase.alphabet, phrase.k, slots.values())
@@ -548,13 +547,13 @@ def test_invariant_lines_on_ornaments_words(monkeypatch):
                 "lk", "clv", "So"]
 
 
-def test_invariant_lines_reads_the_phrase_memo(curves):
-    p = ph(curves.base_alphabet, "ABAB", {"A": "a", "B": "b"})
-    invariant_lines(p, curves.base_moves)
-    profiles = p._profiles
-    assert profiles is not None
-    so_phrase(p, curves.base_moves)
-    assert p._profiles is profiles
+def test_so_phrase_memo_serves_t_and_later_calls(monkeypatch, curves):
+    censuses = _counting(monkeypatch, "_census")
+    p = ph(curves.base_alphabet, "ABAB|CC", {"A": "a", "B": "b", "C": "a"})
+    so = so_phrase(p, curves.base_moves)
+    assert t_invariant(p, curves.base_moves) == t_from_so(so, curves.base_alphabet.n_free)
+    assert so_phrase(p, curves.base_moves) is so
+    assert len(censuses) == 1
 
 
 def test_invariant_lines_without_guarantees_or_on_other_alphabets(curves, diagonal):

@@ -13,17 +13,20 @@ from nanowords import (
     MoveSystem,
     Nanophrase,
     UnknownName,
+    apply_move,
+    are_isomorphic,
     builtin_data,
     canonical_form,
     check_conditions,
     diagonal_triples,
     enumerate_nanophrases,
+    find_move_sites,
     lift_alphabet,
     phi,
     psi,
 )
 from nanowords.cli import load_word_context
-from conftest import ph
+from conftest import ph, random_systems
 
 
 class TestLiftedAlphabet:
@@ -140,18 +143,18 @@ class TestPsi:
                     assert canonical_form(phi(back, lifted)) == canonical_form(w)
 
 
-def test_gated_word_moves_project_back_to_phrase_moves():
+def _assert_moves_project_back(data, k, n_max):
+    # phi's image meets the four order conditions, and psi takes it back.
     # A gated move between two flattenings always comes from a phrase move:
     # rebuild the target and look for a single base move reaching it.
-    from nanowords import apply_move, are_isomorphic, find_move_sites
-
-    data = builtin_data("curves", 2)
     alpha, base_moves = data.base_alphabet, data.base_moves
     lifted, lifted_moves = data.lifted, data.lifted_moves
     checked = 0
-    for n in range(3):
-        for p in enumerate_nanophrases(alpha, n, 2):
+    for n in range(n_max + 1):
+        for p in enumerate_nanophrases(alpha, n, k):
             w = phi(p, lifted)
+            assert check_conditions(w, lifted) is None
+            assert are_isomorphic(psi(w, lifted), p)
             for site in find_move_sites(w, lifted_moves, max_letters=n + 2):
                 w2 = apply_move(w, site)
                 if check_conditions(w2, lifted) is not None:
@@ -161,7 +164,26 @@ def test_gated_word_moves_project_back_to_phrase_moves():
                 assert any(are_isomorphic(apply_move(p, s), target)
                            for s in base_sites)
                 checked += 1
-    assert checked > 100
+    return checked
+
+
+def test_gated_word_moves_project_back_to_phrase_moves():
+    assert _assert_moves_project_back(builtin_data("curves", 2), 2, 2) > 100
+
+
+# The random homotopy data of the phi sweep in test_classification.py.
+# At k = 3, n stays at 1 in tier-1; n = 2 takes about 8 s a system.
+
+@pytest.mark.parametrize("k,n_max", [(2, 2), (3, 1)])
+def test_gated_word_moves_project_back_on_random_homotopy_data(k, n_max):
+    for data in random_systems(4, k):
+        assert _assert_moves_project_back(data, k, n_max) > 100, data.base_moves
+
+
+@pytest.mark.slow
+def test_gated_word_moves_project_back_on_random_homotopy_data_at_k3_n2():
+    for data in random_systems(4, 3):
+        assert _assert_moves_project_back(data, 3, 2) > 100, data.base_moves
 
 
 def test_conditions_accept_exactly_the_flattened_words(ab_alphabet):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from nanowords import (
     ConsistencyError,
     MoveSite,
     MoveSystem,
+    NanowordError,
     Nanophrase,
     NeighborCache,
     StaleSite,
@@ -48,6 +50,14 @@ class TestSiteFinding:
         p = ph(one_symbol, "AA", {"A": "a"})
         sites = _sites(p, moves, kinds=("M1",))
         assert len(sites) == 1 and sites[0].positions == (0, 1)
+
+    @pytest.mark.parametrize("kinds,unknown", [(("m1",), "['m1']"), ("M1", "['1', 'M']")])
+    def test_unknown_kinds_are_rejected(self, curves, kinds, unknown):
+        # A bare str is read as its characters, which name no kind.
+        p = ph(curves.base_alphabet, "AA", {"A": "a"})
+        assert len(_sites(p, curves.base_moves, kinds=("M1",))) == 1
+        with pytest.raises(NanowordError, match=re.escape(f"unknown move kinds {unknown}")):
+            _sites(p, curves.base_moves, kinds=kinds)
 
     def test_q_gating_blocks_m1(self, one_symbol):
         moves = MoveSystem(one_symbol, q=(), r=[("a", "a")], s=())
