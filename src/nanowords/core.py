@@ -79,6 +79,7 @@ class Alphabet:
         self._tau = full
         self.tau_graph = frozenset(full.items())
 
+        # Each orbit is met first at its smaller member, so both runs come out sorted.
         free, fixed, seen = [], [], set()
         for s in sorted(symbols):
             if s in seen:
@@ -87,10 +88,8 @@ class Alphabet:
             if t == s:
                 fixed.append((s,))
             else:
-                free.append((min(s, t), max(s, t)))
+                free.append((s, t))
             seen.update((s, t))
-        free.sort()
-        fixed.sort()
         self.orbits = tuple(free) + tuple(fixed)
         self.representatives = tuple(o[0] for o in self.orbits)
         self.n_free = len(free)
@@ -414,12 +413,12 @@ def are_isomorphic(phrase1, phrase2):
 
 def _double_occurrence_patterns(n):
     # Rank sequences of length 2n, each rank twice, first occurrences in
-    # increasing order; emitted in lexicographic order.
+    # increasing order, as rank strs; emitted in lexicographic order.
     seq = []
 
     def rec(open_ranks, next_rank):
         if len(seq) == 2 * n:
-            yield tuple(seq)
+            yield "".join(map(chr, seq))
             return
         remaining = 2 * n - len(seq)
         for r in sorted(open_ranks):
@@ -438,24 +437,15 @@ def _double_occurrence_patterns(n):
     yield from rec(set(), 1)
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _cuts(flat, k):
-    # A rank sequence cut into k ordered components, every way, in
-    # enumeration order; each component is a slice of `flat`.
-    for sizes in _compositions(len(flat), k):
-        comps, start = [], 0
-        for size in sizes:
-            comps.append(flat[start:start + size])
-            start += size
-        yield comps
+def _shapes(n_letters, k):
+    # Every double-occurrence pattern cut into k ordered components, as
+    # rank strs (rank r is chr(r)): patterns, then cut points, in
+    # lexicographic order.
+    size = 2 * n_letters
+    for ranks in _double_occurrence_patterns(n_letters):
+        for cuts in itertools.combinations_with_replacement(range(size + 1), k - 1):
+            bounds = (0, *cuts, size)
+            yield [ranks[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def enumerate_nanophrases(alphabet, n_letters, k):
@@ -471,11 +461,11 @@ def enumerate_nanophrases(alphabet, n_letters, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     names = rank_letters(n_letters)
-    for pattern in _double_occurrence_patterns(n_letters):
-        for comps in _cuts(tuple(names[r - 1] for r in pattern), k):
-            shape = Nanophrase(alphabet, comps, dict.fromkeys(names), validate=False)
-            for assignment in itertools.product(alphabet.symbols, repeat=n_letters):
-                yield shape._with_proj(dict(zip(names, assignment)))
+    for comps in _shapes(n_letters, k):
+        shape = Nanophrase(alphabet, [[names[ord(r) - 1] for r in comp] for comp in comps],
+                           dict.fromkeys(names), validate=False)
+        for assignment in itertools.product(alphabet.symbols, repeat=n_letters):
+            yield shape._with_proj(dict(zip(names, assignment)))
 
 
 def _enumerate_keys(alphabet, n_letters, k):
@@ -486,6 +476,5 @@ def _enumerate_keys(alphabet, n_letters, k):
     """
     codes = list(map("".join, itertools.product(_encode_symbols(alphabet.symbols),
                                                 repeat=n_letters)))
-    for pattern in _double_occurrence_patterns(n_letters):
-        for comps in _cuts("".join(map(chr, pattern)), k):
-            yield from map((chr(n_letters) + "\0".join(comps)).__add__, codes)
+    for comps in _shapes(n_letters, k):
+        yield from map((chr(n_letters) + "\0".join(comps)).__add__, codes)

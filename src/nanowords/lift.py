@@ -11,6 +11,7 @@ under the names curves, links, ornaments, and diagonal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -163,34 +164,23 @@ def _labels(word, lifted):
 def check_conditions(word, lifted):
     """First violated order condition, or None when the word is liftable.
 
-    For letters A, B with occurrence positions i_. <= j_. and subscript
-    pairs (m_., n_.), the four conditions compare the subscript at each
-    comparable occurrence pair: earlier occurrences must not carry larger
-    component indices.  Together they say exactly that `_labels` never
-    decrease, which is checked first; the pair scan only names the pair.
+    A letter with subscript pair (m, n) is labelled m at its first
+    occurrence and n at its second (`_labels`).  For an ordered letter
+    pair (A, B), condition c takes the c-th of the occurrence pairs
+    (first, first), (first, second), (second, first), (second, second)
+    of A and B, and fails when the earlier position of the two carries
+    the larger label.  Together the conditions say that the labels never
+    decrease along the word, which is checked first; the scan over
+    letter pairs, in first-occurrence order, only names the violation.
     """
     labels = _labels(word, lifted)
     if all(a <= b for a, b in zip(labels, labels[1:])):
         return None
-    info = {}
-    for ltr in word.letters:
-        i, j = word.occurrences(ltr)
-        _s, m, n = lifted.part(word.proj[ltr])
-        info[ltr] = (i, j, m, n)
-    for a in word.letters:
-        ia, ja, ma, na = info[a]
-        for b in word.letters:
-            if a == b:
-                continue
-            ib, jb, mb, nb = info[b]
-            if ia <= ib and not ma <= mb:
-                return ConditionViolation(a, b, 1)
-            if ia <= jb and not ma <= nb:
-                return ConditionViolation(a, b, 2)
-            if ja <= ib and not na <= mb:
-                return ConditionViolation(a, b, 3)
-            if ja <= jb and not na <= nb:
-                return ConditionViolation(a, b, 4)
+    for a, b in itertools.permutations(word.letters, 2):
+        pairs = itertools.product(word.occurrences(a), word.occurrences(b))
+        for condition, (p, q) in enumerate(pairs, 1):
+            if p < q and labels[p] > labels[q]:
+                return ConditionViolation(a, b, condition)
     raise ConsistencyError("component labels decrease but no order condition fails")
 
 

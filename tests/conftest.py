@@ -48,9 +48,19 @@ def random_homotopy_data(rng, index, k):
 
 
 def random_systems(count, k=2):
-    """The first `count` seeded random homotopy data systems lifted to k components."""
+    """The first `count` distinct seeded random homotopy data systems lifted to k components.
+
+    Draws go through the alphabets in turn; a draw whose (alphabet, S)
+    repeats an earlier system is skipped, and the next alphabet drawn.
+    """
     rng = random.Random("homotopy-data" if k == 2 else f"homotopy-data-k{k}")
-    return [random_homotopy_data(rng, index, k) for index in range(count)]
+    systems, index = [], 0
+    while len(systems) < count:
+        data = random_homotopy_data(rng, index, k)
+        if all(data.base_moves != other.base_moves for other in systems):
+            systems.append(data)
+        index += 1
+    return systems
 
 
 @pytest.fixture

@@ -240,6 +240,12 @@ def _assert_phi_keeps_random_partitions(systems, n):
         assert lifted == base, data.base_moves
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_random_systems_are_distinct(k):
+    systems = random_systems(12, k)
+    assert len({data.base_moves for data in systems}) == 12
+
+
 def test_base_classes_are_lifted_classes_on_random_homotopy_data_slice():
     systems = random_systems(4)
     assert any(not data.base_moves.s_is_sub_diagonal for data in systems)

@@ -422,18 +422,34 @@ class TestEnumeration:
 
     def test_matches_generate_and_dedupe_oracle(self, ab_alphabet, one_symbol):
         # Oracle: place letters at all position choices, split, project, dedupe.
-        for alphabet, n, k in ((one_symbol, 3, 1), (ab_alphabet, 2, 2)):
+        # Then the enumeration order: patterns relabelled by first occurrence,
+        # then component sizes, then assignments, each lexicographically.
+        for alphabet, n, k in ((one_symbol, 3, 1), (ab_alphabet, 2, 2), (ab_alphabet, 2, 3)):
             letters = [chr(65 + i) for i in range(n)]
-            oracle = set()
+            oracle, patterns = set(), set()
             for arrangement in set(itertools.permutations(letters + letters)):
+                rank = {}
+                patterns.add(tuple(rank.setdefault(ltr, len(rank) + 1) for ltr in arrangement))
                 for cuts in itertools.combinations_with_replacement(range(2 * n + 1), k - 1):
                     bounds = (0,) + cuts + (2 * n,)
                     comps = [arrangement[bounds[i]:bounds[i + 1]] for i in range(k)]
                     for assign in itertools.product(alphabet.symbols, repeat=n):
                         proj = dict(zip(letters, assign))
                         oracle.add(canonical_form(Nanophrase(alphabet, comps, proj)))
-            mine = set(canonical_form(p) for p in enumerate_nanophrases(alphabet, n, k))
-            assert mine == oracle
+            ordered = []
+            for pattern in sorted(patterns):
+                for sizes in itertools.product(range(2 * n + 1), repeat=k):
+                    if sum(sizes) != 2 * n:
+                        continue
+                    bounds = list(itertools.accumulate(sizes, initial=0))
+                    comps = [[letters[r - 1] for r in pattern[bounds[i]:bounds[i + 1]]]
+                             for i in range(k)]
+                    for assign in itertools.product(alphabet.symbols, repeat=n):
+                        proj = dict(zip(letters, assign))
+                        ordered.append(canonical_form(Nanophrase(alphabet, comps, proj)))
+            mine = [canonical_form(p) for p in enumerate_nanophrases(alphabet, n, k)]
+            assert set(mine) == oracle
+            assert mine == ordered
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_key_enumerator_matches_the_phrase_enumeration(self, name):
