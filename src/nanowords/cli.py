@@ -96,14 +96,16 @@ def load_word_context(args, path, force_base=False):
     data = _system(args, record)
     base = data.base_alphabet
     lines = [] if data.name else render_alphabet_lines(base, record.s)
-    if not (data.name == "ornaments" or args.k > 1
-            or any(sym not in base for sym in record.proj.values())):
+    at_base = not (data.name == "ornaments" or args.k > 1
+                   or any(sym not in base for sym in record.proj.values()))
+    # lift writes a lifted record, which keeps no Q/R line.
+    if (force_base or not at_base) and (record.q is not None or record.r is not None):
+        raise NanowordError("custom Q/R lines are not supported at the lifted level")
+    if at_base:
         phrase = Nanophrase(base, record.components, record.proj)
         return WordContext(data.name, base, lines, None, data.base_moves, phrase)
     if force_base:
         raise NanowordError("expected a phrase over the base alphabet")
-    if record.q is not None or record.r is not None:
-        raise NanowordError("custom Q/R lines are not supported at the lifted level")
     phrase = Nanophrase(data.lifted.alphabet, record.components, record.proj)
     return WordContext(data.name, base, lines, data.lifted, data.lifted_moves, phrase)
 

@@ -83,92 +83,62 @@ def _check_match(phrase, site, expected):
         raise StaleSite(f"{site.kind} letters no longer match the site")
 
 
-def _regroup(phrase, flat, drop=()):
-    # Split a letter list laid out like phrase.flat into its components,
-    # leaving out the positions in drop.
-    comps = [[] for _ in phrase.components]
-    for p, ltr in enumerate(flat):
-        if p not in drop:
-            comps[phrase.comp_of[p]].append(ltr)
-    return comps
-
-
-def _fresh_names(existing, count):
-    out, i = [], 1
-    while len(out) < count:
-        name = f"N{i}"
-        if name not in existing:
-            out.append(name)
-        i += 1
-    return out
+# The letters a matched kind expects at its positions, as indices into
+# site.letters, and the number of gaps an insertion kind fills.
+_MATCHED = {"M1": (0, 0), "M2": (0, 1, 1, 0), "M3": (0, 1, 0, 2, 1, 2), "M3inv": (1, 0, 2, 0, 2, 1)}
+_INSERTED = {"M1ins": 1, "M2ins": 2}
 
 
 def apply_move(phrase, site):
     """Apply a site to a phrase, revalidating the matched pattern.
 
     Matched kinds recheck adjacency and the letters at the recorded
-    positions (StaleSite otherwise); symbol gating is the finder's job.
+    positions; insertion kinds recheck their gaps and symbols.  A site
+    that does not fit the phrase, or whose letters, gaps or symbols do not
+    match its kind's arity, raises StaleSite.  Symbol gating is the
+    finder's job.  Fresh letters x (M1ins) or x, y (M2ins) are the first
+    of N1, N2, ... that the phrase does not use; they go in as x x, or as
+    x y at the first gap and y x at the second.
     """
     kind = site.kind
-    if kind == "M1":
-        (a,) = site.letters
-        _check_match(phrase, site, (a, a))
-        return _delete(phrase, site.positions, (a,))
-    if kind == "M2":
-        a, b = site.letters
-        _check_match(phrase, site, (a, b, b, a))
-        return _delete(phrase, site.positions, (a, b))
-    if kind in ("M3", "M3inv"):
-        a, b, c = site.letters
-        expected = (a, b, a, c, b, c) if kind == "M3" else (b, a, c, a, c, b)
-        _check_match(phrase, site, expected)
-        flat = list(phrase.flat)
-        for t in range(0, 6, 2):
-            p = site.positions[t]
-            flat[p], flat[p + 1] = flat[p + 1], flat[p]
-        return Nanophrase(phrase.alphabet, _regroup(phrase, flat), phrase.proj,
-                          validate=False)
-    if kind == "M1ins":
-        (gap,) = site.gaps
-        (sym,) = site.symbols
-        _check_insertion(phrase, (gap,), (sym,))
-        (name,) = _fresh_names(set(phrase.letters), 1)
-        comps = list(phrase.components)
-        c, o = gap
-        comps[c] = comps[c][:o] + (name, name) + comps[c][o:]
-        proj = dict(phrase.proj)
-        proj[name] = sym
-        return Nanophrase(phrase.alphabet, comps, proj, validate=False)
-    if kind == "M2ins":
-        gap1, gap2 = site.gaps
-        s1, s2 = site.symbols
-        if gap2 < gap1:
-            raise StaleSite("M2ins gaps out of order")
-        _check_insertion(phrase, site.gaps, site.symbols)
-        na, nb = _fresh_names(set(phrase.letters), 2)
-        comps = list(phrase.components)
-        (c2, o2) = gap2
-        comps[c2] = comps[c2][:o2] + (nb, na) + comps[c2][o2:]
-        (c1, o1) = gap1
-        comps[c1] = comps[c1][:o1] + (na, nb) + comps[c1][o1:]
-        proj = dict(phrase.proj)
-        proj[na], proj[nb] = s1, s2
-        return Nanophrase(phrase.alphabet, comps, proj, validate=False)
-    raise NanowordError(f"unknown move kind {kind!r}")
-
-
-def _check_insertion(phrase, gaps, symbols):
-    for (c, o) in gaps:
-        if not (0 <= c < phrase.k and 0 <= o <= len(phrase.components[c])):
+    if kind in _MATCHED:
+        pattern = _MATCHED[kind]
+        if len(site.letters) != len(pattern) // 2:
+            raise StaleSite(f"{kind} site needs {len(pattern) // 2} letters")
+        _check_match(phrase, site, tuple(map(site.letters.__getitem__, pattern)))
+        flat, drop = list(phrase.flat), ()
+        if kind in ("M1", "M2"):
+            drop = set(site.positions)  # Nanophrase keeps only the rest's proj
+        else:
+            for p in site.positions[::2]:
+                flat[p], flat[p + 1] = flat[p + 1], flat[p]
+        comps = [[] for _ in phrase.components]
+        for p, ltr in enumerate(flat):
+            if p not in drop:
+                comps[phrase.comp_of[p]].append(ltr)
+        return Nanophrase(phrase.alphabet, comps, phrase.proj, validate=False)
+    if kind not in _INSERTED:
+        raise NanowordError(f"unknown move kind {kind!r}")
+    gaps, symbols, comps = site.gaps, site.symbols, list(phrase.components)
+    if len(gaps) != _INSERTED[kind] or len(symbols) != len(gaps):
+        raise StaleSite(f"{kind} site needs {_INSERTED[kind]} gaps and symbols")
+    if gaps[-1] < gaps[0]:  # two gaps at most
+        raise StaleSite(f"{kind} gaps out of order")
+    for c, o in gaps:
+        if not (0 <= c < len(comps) and 0 <= o <= len(comps[c])):
             raise StaleSite("insertion gap out of range")
     unknown = [s for s in symbols if s not in phrase.alphabet]
     if unknown:
         raise StaleSite(f"insertion symbols not in the alphabet: {unknown}")
-
-
-def _delete(phrase, positions, letters):
-    comps = _regroup(phrase, phrase.flat, set(positions))
-    proj = {ltr: sym for ltr, sym in phrase.proj.items() if ltr not in letters}
+    names, i = [], 0
+    while len(names) < len(gaps):
+        i += 1
+        if (name := f"N{i}") not in phrase.proj:
+            names.append(name)
+    x, y = names[0], names[-1]  # y is x for M1ins
+    for (c, o), pair in zip(reversed(gaps), ((y, x), (x, y))):
+        comps[c] = comps[c][:o] + pair + comps[c][o:]
+    proj = {**phrase.proj, x: symbols[0], y: symbols[-1]}
     return Nanophrase(phrase.alphabet, comps, proj, validate=False)
 
 
@@ -295,7 +265,6 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
     frontiers = [[c1.key], [c2.key]]
     cut = [False, False]
     explored = 2
-    meet = None
 
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
@@ -310,33 +279,24 @@ def equivalent(phrase1, phrase2, moves, max_letters, max_states,
                 here[child] = state
                 explored += 1
                 if child in there:
-                    meet = child
-                    break
+                    path = _assemble_path(visited, child, moves)
+                    if replay_path(phrase1, path, phrase1.alphabet) != c2:
+                        raise ConsistencyError("assembled path does not end at the target")
+                    return Verdict(EQUIVALENT, path=path, explored=explored,
+                                   reason=f"met after exploring {explored} states")
                 if explored > max_states:
                     return Verdict(UNKNOWN, explored=explored,
                                    reason=f"state budget {max_states} exhausted")
                 fresh.append(child)
-            if meet is not None:
-                break
-        if meet is not None:
-            break
         frontiers[side] = fresh
-    else:
-        closed = 1 if frontiers[0] else 0
-        if cut[closed]:
-            return Verdict(UNKNOWN, explored=explored, reason=(
-                f"reachable set of side {closed + 1} closed only because the "
-                f"letter budget {max_letters} cut moves"))
-        return Verdict(
-            NOT_EQUIVALENT, explored=explored,
-            reason=f"reachable set of side {closed + 1} closed with no move cut by the budget")
-
-    path = _assemble_path(visited, meet, moves)
-    final = replay_path(phrase1, path, phrase1.alphabet)
-    if final != c2:
-        raise ConsistencyError("assembled path does not end at the target")
-    return Verdict(EQUIVALENT, path=path, explored=explored,
-                   reason=f"met after exploring {explored} states")
+    closed = 1 if frontiers[0] else 0
+    if cut[closed]:
+        return Verdict(UNKNOWN, explored=explored, reason=(
+            f"reachable set of side {closed + 1} closed only because the "
+            f"letter budget {max_letters} cut moves"))
+    return Verdict(
+        NOT_EQUIVALENT, explored=explored,
+        reason=f"reachable set of side {closed + 1} closed with no move cut by the budget")
 
 
 def decide(phrase1, phrase2, moves, lifted, max_letters, max_states):

@@ -248,6 +248,21 @@ class TestLiftProject:
         assert verdict(*lifted) == unknown
         assert verdict(*[rewrite("project", f, "--k", "1") for f in lifted]) == unknown
 
+    @pytest.mark.parametrize("line", ["Q:", "R: a=b b=a"])
+    def test_lift_refuses_the_records_q_and_r_lines(self, capsys, tmp_path, line):
+        # The lifted record could not keep them: reread under the default Q,
+        # B B | (empty) would reach the empty phrase by one M1 although its
+        # letter-count parity separates it when Q is empty.
+        system = f"alpha: a b\ntau: a=b\n{line}\n"
+        f = write(tmp_path, "p.txt", f"{system}proj: B=b\nphrase: B B | \u2205\n")
+        g = write(tmp_path, "q.txt", f"{system}phrase: \u2205 | \u2205\n")
+        if line == "Q:":
+            code, out, _ = run(capsys, "equiv", f, g)
+            assert code == 0 and out.splitlines()[0] == "verdict: NotEquivalent"
+        code, out, err = run(capsys, "lift", f)
+        assert (code, out) == (2, "")
+        assert "custom Q/R lines are not supported at the lifted level" in err
+
 
 class TestEnumerate:
     def test_three_words_on_two_letters(self, capsys, tmp_path):

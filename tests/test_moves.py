@@ -182,6 +182,26 @@ class TestApply:
         with pytest.raises(StaleSite):
             replay_path(canonical_form(p), (step,), moves.alphabet)
 
+    @pytest.mark.parametrize("site", [
+        MoveSite("M1", (0, 1), ("A", "B")),
+        MoveSite("M2", (0, 1, 2, 3), ("A",)),
+        MoveSite("M3", (0, 1), ("A",)),
+        MoveSite("M3inv", (0, 1, 2, 3, 4, 5), ("A", "B")),
+        MoveSite("M1ins", gaps=((0, 0),), symbols=()),
+        MoveSite("M1ins", gaps=((0, 0), (0, 1)), symbols=("a",)),
+        MoveSite("M2ins", gaps=((0, 0),), symbols=("a", "b")),
+        MoveSite("M2ins", gaps=((0, 0), (0, 1)), symbols=("a",)),
+    ])
+    def test_malformed_sites_raise_stale_site(self, curves, site):
+        # Letters, gaps or symbols that do not match the kind's arity, as a
+        # site read from outside the program may have them.
+        p = ph(curves.base_alphabet, "AA", {"A": "a"})
+        with pytest.raises(StaleSite):
+            apply_move(p, site)
+        step = PathStep(site, canonical_form(p))
+        with pytest.raises(StaleSite):
+            replay_path(p, (step,), curves.base_alphabet)
+
     def test_letter_count_law(self, ab_alphabet):
         moves = MoveSystem.standard(ab_alphabet, [("a", "a", "a"), ("b", "b", "b")])
         deltas = {"M1": -1, "M2": -2, "M3": 0, "M3inv": 0, "M1ins": 1, "M2ins": 2}
@@ -207,6 +227,116 @@ def test_every_move_has_an_inverse_on_enumeration(ab_alphabet):
             for site in _sites(p, moves, max_letters=n + 1):
                 out = apply_move(p, site)
                 assert _find_inverse(p, out, moves, max_letters=n + 1) is not None
+
+
+_PATTERNS = {"M1": "aa", "M2": "abba", "M3": "abacbc", "M3inv": "bacacb"}
+
+
+def _reference_rewrite(phrase, site):
+    # apply_move's result as (letters, components, projection), or None when
+    # the site does not fit the phrase.  The word is phrase.flat as a list of
+    # (component, letter) cells: matched pairs are deleted (M1, M2) or
+    # swapped (M3, M3inv); an insertion puts x x at its gap (M1ins), or x y
+    # at its first gap and y x at its second (M2ins), with fresh names N1,
+    # N2, ... that skip the phrase's own names.
+    cells = [(c, ltr) for c, comp in enumerate(phrase.components) for ltr in comp]
+    proj = dict(phrase.proj)
+    if site.kind in MATCH_KINDS:
+        pos, pattern = site.positions, _PATTERNS[site.kind]
+        expected = [site.letters["abc".index(ch)] for ch in pattern]
+        pairs = list(zip(pos[::2], pos[1::2]))
+        if (len(pos) != len(pattern) or list(pos) != sorted(set(pos))
+                or not all(0 <= p < len(cells) for p in pos)
+                or any(q != p + 1 or cells[p][0] != cells[q][0] for p, q in pairs)
+                or [cells[p][1] for p in pos] != expected):
+            return None
+        if site.kind in ("M1", "M2"):
+            cells = [cell for p, cell in enumerate(cells) if p not in pos]
+            for ltr in site.letters:
+                del proj[ltr]
+        else:
+            for p, q in pairs:
+                cells[p], cells[q] = cells[q], cells[p]
+    else:
+        gaps, symbols, arity = site.gaps, site.symbols, INSERTION_KINDS.index(site.kind) + 1
+        if (len(gaps) != arity or len(symbols) != arity or list(gaps) != sorted(gaps)
+                or not all(0 <= c < phrase.k and 0 <= o <= len(phrase.components[c])
+                           for c, o in gaps)
+                or not all(sym in phrase.alphabet for sym in symbols)):
+            return None
+        fresh = [f"N{i}" for i in range(1, phrase.n_letters + 3) if f"N{i}" not in proj]
+        x, y = fresh[:2]
+        inserted = [(x, x)] if arity == 1 else [(x, y), (y, x)]
+        for (c, o), pair in reversed(list(zip(gaps, inserted))):
+            at = sum(map(len, phrase.components[:c])) + o
+            cells[at:at] = [(c, ltr) for ltr in pair]
+        proj.update(zip((x, y), symbols))
+    components = tuple(tuple(ltr for c2, ltr in cells if c2 == c) for c in range(phrase.k))
+    letters = tuple(dict.fromkeys(ltr for _c, ltr in cells))
+    return letters, components, proj
+
+
+def _forged_site(site, phrase, rng):
+    # The site with one field forged, keeping its kind's arity: a position
+    # shifted, two letters swapped or one renamed, the positions cut short;
+    # a gap moved (possibly out of range or order), or a symbol unknown.
+    if site.kind in MATCH_KINDS:
+        pos, letters = list(site.positions), list(site.letters)
+        how = rng.randrange(4)
+        if how == 0:
+            pos[rng.randrange(len(pos))] += rng.choice((-2, -1, 1, 2))
+        elif how == 1 and len(letters) > 1:
+            i, j = rng.sample(range(len(letters)), 2)
+            letters[i], letters[j] = letters[j], letters[i]
+        elif how == 2:
+            letters[rng.randrange(len(letters))] = rng.choice([*phrase.letters, "?"])
+        else:
+            pos = pos[:-1]
+        return replace(site, positions=tuple(pos), letters=tuple(letters))
+    if rng.random() < 0.2:
+        return replace(site, symbols=site.symbols[:-1] + ("?",))
+    gaps = list(site.gaps)
+    gaps[rng.randrange(len(gaps))] = (rng.randrange(-1, phrase.k + 1),
+                                      rng.randrange(-1, phrase.n_letters * 2 + 2))
+    return replace(site, gaps=tuple(gaps))
+
+
+@pytest.mark.parametrize("name", ["curves", "diagonal"])
+def test_apply_move_matches_the_reference_rewrite(name):
+    # Every site at budget n + 2 of the n <= 3 enumerations at k <= 2, on
+    # the enumerated phrase and, for a seeded sample, on the phrase renamed
+    # so that N1 and N2 may be its own names; then seeded forged sites,
+    # which raise StaleSite unless they still fit the phrase.
+    data, rng = builtin_data(name), random.Random(f"reference-rewrite:{name}")
+    moves = data.base_moves
+    checked = stale = own_names = 0
+    for k in (1, 2):
+        for n in range(4):
+            for p in enumerate_nanophrases(data.base_alphabet, n, k):
+                sites = _sites(p, moves, max_letters=n + 2)
+                for site in sites:
+                    out = apply_move(p, site)
+                    assert (out.letters, out.components, out.proj) == \
+                        _reference_rewrite(p, site), (p, site)
+                    checked += 1
+                if rng.random() < 0.2:
+                    renamed = _renamed(p, rng)
+                    own_names += "N1" in renamed.proj or "N2" in renamed.proj
+                    for site in _sites(renamed, moves, max_letters=n + 2):
+                        out = apply_move(renamed, site)
+                        assert (out.letters, out.components, out.proj) == \
+                            _reference_rewrite(renamed, site), (renamed, site)
+                for site in rng.sample(sites, min(len(sites), 3)):
+                    forged = _forged_site(site, p, rng)
+                    expected = _reference_rewrite(p, forged)
+                    if expected is None:
+                        with pytest.raises(StaleSite):
+                            apply_move(p, forged)
+                        stale += 1
+                    else:
+                        out = apply_move(p, forged)
+                        assert (out.letters, out.components, out.proj) == expected, (p, forged)
+    assert checked > 5000 and stale > 300 and own_names > 20, (checked, stale, own_names)
 
 
 def _forms(alphabet, k, ns, sample=None):
