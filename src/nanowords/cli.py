@@ -54,15 +54,10 @@ _VERDICT_RENDER = {EQUIVALENT: ("Equivalent", EXIT_OK), UNKNOWN: ("Unknown", EXI
 @dataclass
 class WordContext:
     builtin: str
-    base: Alphabet
     system_lines: list  # the record's alpha, tau and S lines; none under --builtin
-    lifted: LiftedAlphabet
+    lifted: LiftedAlphabet  # None at the phrase level
     moves: MoveSystem
     phrase: Nanophrase
-
-    @property
-    def is_lifted(self):
-        return self.lifted is not None
 
 
 def _read(path):
@@ -103,11 +98,11 @@ def load_word_context(args, path, force_base=False):
         raise NanowordError("custom Q/R lines are not supported at the lifted level")
     if at_base:
         phrase = Nanophrase(base, record.components, record.proj)
-        return WordContext(data.name, base, lines, None, data.base_moves, phrase)
+        return WordContext(data.name, lines, None, data.base_moves, phrase)
     if force_base:
         raise NanowordError("expected a phrase over the base alphabet")
     phrase = Nanophrase(data.lifted.alphabet, record.components, record.proj)
-    return WordContext(data.name, base, lines, data.lifted, data.lifted_moves, phrase)
+    return WordContext(data.name, lines, data.lifted, data.lifted_moves, phrase)
 
 
 def load_set_context(args):
@@ -125,7 +120,7 @@ def _emit(args, rows):
 
 def cmd_validate(args):
     ctx = load_word_context(args, args.file)
-    level = "lifted word" if ctx.is_lifted else "phrase"
+    level = "lifted word" if ctx.lifted is not None else "phrase"
     print(f"valid: {level}, components={ctx.phrase.k}, letters={ctx.phrase.n_letters}")
     return EXIT_OK
 
@@ -141,7 +136,7 @@ def cmd_invariants(args):
     rows = [("canonical", canonical_form(ctx.phrase).serialize()),
             ("components", ctx.phrase.k),
             ("letters", ctx.phrase.n_letters)]
-    if ctx.is_lifted:
+    if ctx.lifted is not None:
         violation = check_conditions(ctx.phrase, ctx.lifted)
         rows.append(("conditions", "satisfied" if violation is None else
                      f"violated pair ({violation.letter_a},{violation.letter_b}) "
@@ -192,7 +187,7 @@ def cmd_lift(args):
 
 def cmd_project(args):
     ctx = load_word_context(args, args.file)
-    if not ctx.is_lifted:
+    if ctx.lifted is None:
         raise NanowordError("input is not a lifted word (nothing to project)")
     phrase = psi(ctx.phrase, ctx.lifted)
     # The rebuilt phrase lives over the base alphabet, so ornaments input

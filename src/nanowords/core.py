@@ -71,32 +71,21 @@ class Alphabet:
         unknown = set(mapping) - set(symbols)
         if unknown:
             raise UnknownSymbol(unknown, where="tau")
+        # mapping holds both directions of each pair, so full is an involution.
         full = {s: mapping.get(s, s) for s in symbols}
-        for s in symbols:
-            if full[full[s]] != s:
-                raise NanowordError(f"tau is not an involution at {s!r}")
+        pairs = sorted(full.items())
         self.symbols = symbols
         self._tau = full
-        self.tau_graph = frozenset(full.items())
-
-        # Each orbit is met first at its smaller member, so both runs come out sorted.
-        free, fixed, seen = [], [], set()
-        for s in sorted(symbols):
-            if s in seen:
-                continue
-            t = full[s]
-            if t == s:
-                fixed.append((s,))
-            else:
-                free.append((s, t))
-            seen.update((s, t))
+        self.tau_graph = frozenset(pairs)
+        free = [(a, b) for a, b in pairs if a < b]
+        fixed = [(a,) for a, b in pairs if a == b]
         self.orbits = tuple(free) + tuple(fixed)
         self.representatives = tuple(o[0] for o in self.orbits)
         self.n_free = len(free)
         self.n_fixed = len(fixed)
         self._orbit_index = {s: i + 1 for i, orbit in enumerate(self.orbits) for s in orbit}
         self._epsilon = {s: 1 if s == orbit[0] else -1 for orbit in self.orbits for s in orbit}
-        self._key = (symbols, tuple(sorted(full.items())))
+        self._key = (symbols, tuple(pairs))
         self._hash = hash(self._key)
 
     def tau(self, symbol):
@@ -413,28 +402,17 @@ def are_isomorphic(phrase1, phrase2):
 
 def _double_occurrence_patterns(n):
     # Rank sequences of length 2n, each rank twice, first occurrences in
-    # increasing order, as rank strs; emitted in lexicographic order.
-    seq = []
-
-    def rec(open_ranks, next_rank):
+    # increasing order, as rank strs; emitted in lexicographic order,
+    # since a new rank is larger than every open one.
+    def rec(seq, open_ranks, top):
         if len(seq) == 2 * n:
-            yield "".join(map(chr, seq))
-            return
-        remaining = 2 * n - len(seq)
-        for r in sorted(open_ranks):
-            seq.append(r)
-            open_ranks.remove(r)
-            yield from rec(open_ranks, next_rank)
-            open_ranks.add(r)
-            seq.pop()
-        if next_rank <= n and len(open_ranks) <= remaining - 2:
-            seq.append(next_rank)
-            open_ranks.add(next_rank)
-            yield from rec(open_ranks, next_rank + 1)
-            open_ranks.remove(next_rank)
-            seq.pop()
+            yield seq
+        for r in open_ranks:
+            yield from rec(seq + chr(r), [o for o in open_ranks if o != r], top)
+        if top < n:
+            yield from rec(seq + chr(top + 1), open_ranks + [top + 1], top + 1)
 
-    yield from rec(set(), 1)
+    return rec("", [], 0)
 
 
 def _shapes(n_letters, k):

@@ -15,8 +15,9 @@ The word-level analogues over a lifted alphabet read the component
 pair off each letter's subscripts; they agree with the phrase versions
 on flattened phrases.  One engine computes every value from each
 letter's (symbol, i, j) record and one profile table.  Three adapters
-feed it: a phrase's letters, a lifted word's subscripts, and a
-canonical key's ranks and codes (key_reader, which builds no phrase).
+feed it: a phrase's letters and a lifted word's subscripts (the public
+functions above), and a canonical key's ranks and codes (key_reader,
+which builds no phrase; invariant_lines is key_reader on a word's key).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 
-from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of
+from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of, canonical_form
 from .lift import _require_lifted_word
 
 
@@ -456,7 +457,7 @@ def _tuple_text(values):
 
 
 # name -> (value from (alphabet, k, letters, parts, profiles), its rendering).
-# T has no value function: _values reads it off So's value.
+# T has no value function: key_reader reads it off So's value.
 _REGISTRY = {
     "lk": (_lk, _tuple_text),
     "clv": (_clv, _tuple_text),
@@ -465,37 +466,16 @@ _REGISTRY = {
 }
 
 
-def _values(names, base, k, letters, parts, profiles):
-    # The raw values of the named rows, from one word's records and its
-    # profile table (None when no row reads it).  T follows So in every
-    # row list, and is read off the census just computed.
-    values = []
-    for name in names:
-        value = _REGISTRY[name][0]
-        values.append(t_from_so(values[-1], base.n_free) if value is None
-                      else value(base, k, letters, parts, profiles))
-    return tuple(values)
-
-
 def invariant_lines(word, moves, lifted=None):
     """(name, rendered value) for every invariant the system guarantees.
 
     `lifted` selects the word level over that lifted alphabet; None
-    selects the phrase level.  The word's (symbol, i, j) records are read
-    once, its profile table is built at most once, and T is read off So.
-    There are no rows when the system guarantees no invariant.
+    selects the phrase level.  The rows are key_reader's on the word's
+    canonical key.  There are no rows when the system guarantees no
+    invariant.
     """
-    if lifted is None:  # _require_graph_tau raises or returns None
-        names, base, k = phrase_invariants_applicable(moves), word.alphabet, word.k
-        parts = names and (_require_graph_tau(moves, word) or _phrase_parts(word))
-    else:
-        names, base, k = lifted_invariants_applicable(moves, lifted), lifted.base, lifted.k
-        parts = names and _lifted_parts(word, lifted)
-    if not names:
-        return []
-    profiles = (_profile_table(base, word.letters, _word_pairs(word), parts)
-                if "So" in names else None)
-    return render_rows(names, _values(names, base, k, word.letters, parts, profiles))
+    names, values = key_reader(word.alphabet, word.k, moves, lifted)
+    return render_rows(names, values(canonical_form(word).key)) if names else []
 
 
 def render_rows(names, values):
@@ -504,27 +484,32 @@ def render_rows(names, values):
 
 
 def key_reader(alphabet, k, moves, lifted=None):
-    """invariant_lines on canonical keys, as (names, values).
+    """The guaranteed rows on canonical keys, as (names, values).
 
     The keys are of phrases over `alphabet` with k components, or of
     words over `lifted`.  values(key) is the tuple of raw row values, and
     render_rows(names, values(key)) is invariant_lines on the key's
-    phrase, but no phrase is built.
+    phrase; no phrase is built.
     """
     if lifted is None:
         names, base, part = phrase_invariants_applicable(moves), alphabet, None
     else:
         names, base, part = lifted_invariants_applicable(moves, lifted), lifted.base, lifted.part
         if names and k != 1:
-            raise NanowordError("expected keys of one-component words")
+            raise NanowordError("expected a one-component word")
         k = lifted.k
     if names and alphabet != moves.alphabet:
         raise AlphabetMismatch("move system and keys use different alphabets")
-    so = "So" in names
+    so, rows = "So" in names, [_REGISTRY[name][0] for name in names]
 
     def values(key):
+        # T follows So in every row list, and is read off the census just computed.
         letters, pairs, parts = _key_parts(key, part)
-        return _values(names, base, k, letters, parts,
-                       _profile_table(base, letters, pairs, parts) if so else None)
+        profiles = _profile_table(base, letters, pairs, parts) if so else None
+        got = []
+        for value in rows:
+            got.append(t_from_so(got[-1], base.n_free) if value is None
+                       else value(base, k, letters, parts, profiles))
+        return tuple(got)
 
     return names, values

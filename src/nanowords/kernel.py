@@ -158,8 +158,10 @@ def _insertion_sites(lengths, q, r):
 
 
 # Insertion sites depend only on the component lengths and the symbols,
-# so phrases of one shape can share one tuple of them.  A search revisits
-# a few small shapes; the memo keeps at most 32 shapes of at most 16 gaps.
+# so phrases of one shape can share one tuple of them.  No search builds
+# them (_children reads child keys only); find_move_sites with a letter
+# budget and NeighborCache meet a few small shapes again and again.  The
+# memo keeps at most 32 shapes of at most 16 gaps.
 _SHARED_MAX_GAPS = 16
 _shared_insertion_sites = lru_cache(maxsize=32)(_insertion_sites)
 

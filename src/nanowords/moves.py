@@ -69,9 +69,14 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     return [site for site, _child in matched] + list(inserted)
 
 
+_INT = frozenset([int])
+
+
 def _check_match(phrase, site, expected):
     pos = site.positions
     flat, comp_of = phrase.flat, phrase.comp_of
+    if not _INT.issuperset(map(type, pos)):
+        raise StaleSite(f"{site.kind} site positions are not ints")
     if len(pos) != len(expected) or not pos or pos[0] < 0 or pos[-1] >= len(flat):
         raise StaleSite(f"{site.kind} site out of range")
     if any(a >= b for a, b in zip(pos, pos[1:])):
@@ -94,13 +99,17 @@ def apply_move(phrase, site):
 
     Matched kinds recheck adjacency and the letters at the recorded
     positions; insertion kinds recheck their gaps and symbols.  A site
-    that does not fit the phrase, or whose letters, gaps or symbols do not
-    match its kind's arity, raises StaleSite.  Symbol gating is the
-    finder's job.  Fresh letters x (M1ins) or x, y (M2ins) are the first
-    of N1, N2, ... that the phrase does not use; they go in as x x, or as
-    x y at the first gap and y x at the second.
+    that does not fit the phrase, or whose fields do not match its kind's
+    arity and types (int positions, (int, int) gaps, hashable letters and
+    symbols), raises StaleSite.  Symbol gating is the finder's job.  Fresh
+    letters x (M1ins) or x, y (M2ins) are the first of N1, N2, ... that
+    the phrase does not use; they go in as x x, or as x y at the first gap
+    and y x at the second.
     """
     kind = site.kind
+    if not (type(kind) is str and type(site.positions) is type(site.letters)
+            is type(site.gaps) is type(site.symbols) is tuple):
+        raise StaleSite(f"{kind} site fields have the wrong types")
     if kind in _MATCHED:
         pattern = _MATCHED[kind]
         if len(site.letters) != len(pattern) // 2:
@@ -122,12 +131,15 @@ def apply_move(phrase, site):
     gaps, symbols, comps = site.gaps, site.symbols, list(phrase.components)
     if len(gaps) != _INSERTED[kind] or len(symbols) != len(gaps):
         raise StaleSite(f"{kind} site needs {_INSERTED[kind]} gaps and symbols")
-    if gaps[-1] < gaps[0]:  # two gaps at most
-        raise StaleSite(f"{kind} gaps out of order")
-    for c, o in gaps:
+    for gap in gaps:
+        c, o = gap if type(gap) is tuple and len(gap) == 2 else (None, None)
+        if type(c) is not int or type(o) is not int:
+            raise StaleSite(f"{kind} gaps are not (int, int) pairs")
         if not (0 <= c < len(comps) and 0 <= o <= len(comps[c])):
             raise StaleSite("insertion gap out of range")
-    unknown = [s for s in symbols if s not in phrase.alphabet]
+    if gaps[-1] < gaps[0]:  # two gaps at most
+        raise StaleSite(f"{kind} gaps out of order")
+    unknown = [s for s in symbols if s not in phrase.alphabet.symbols]  # hashes no symbol
     if unknown:
         raise StaleSite(f"insertion symbols not in the alphabet: {unknown}")
     names, i = [], 0
@@ -170,9 +182,13 @@ class Verdict:
 def _renamed(site, letters):
     # The site with each rank letter (see rank_letters) read as the letter of
     # that rank in `letters`; any other name reads as None and matches none.
+    # A site whose letters are not hashable is left for apply_move to reject.
     name = dict(zip(rank_letters(len(letters)), letters)).get
-    return site if not site.letters else MoveSite(site.kind, site.positions,
-                                                  tuple(map(name, site.letters)))
+    try:
+        return site if not site.letters else MoveSite(site.kind, site.positions,
+                                                      tuple(map(name, site.letters)))
+    except TypeError:
+        return site
 
 
 def replay_path(start, path, alphabet):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pickle
 import random
@@ -30,7 +31,7 @@ from nanowords import (
     validate_nanophrase,
 )
 import nanowords
-from nanowords.core import _enumerate_keys
+from nanowords.core import _double_occurrence_patterns, _enumerate_keys
 from nanowords.moves import _expand
 from conftest import ph
 
@@ -67,6 +68,47 @@ class TestAlphabet:
         a1 = Alphabet(("a", "b"), {"a": "b"})
         a2 = Alphabet(("a", "b"), {"b": "a"})
         assert a1 == a2 and hash(a1) == hash(a2)
+
+    def test_orbits_on_every_small_involution(self):
+        # Every involution on every ordering of up to 5 symbols, tau given
+        # from the larger member of each pair: free orbits (smaller, larger)
+        # by representative, then fixed points, with 1-based indices and
+        # sign -1 on the larger member only.
+        counts = []
+        for m in range(6):
+            matchings = list(_matchings("abcde"[:m]))
+            counts.append(len(matchings))
+            for symbols in itertools.permutations("abcde"[:m]):
+                for pairs in matchings:
+                    alpha = Alphabet(symbols, {b: a for a, b in pairs})
+                    paired = {s for pair in pairs for s in pair}
+                    fixed = [(s,) for s in sorted(symbols) if s not in paired]
+                    assert alpha.orbits == tuple(pairs) + tuple(fixed)
+                    assert alpha.representatives == tuple(o[0] for o in pairs + fixed)
+                    assert (alpha.n_free, alpha.n_fixed) == (len(pairs), len(fixed))
+                    assert alpha.tau_graph == {*pairs, *((b, a) for a, b in pairs),
+                                               *((s, s) for (s,) in fixed)}
+                    for index, (a, b) in enumerate(pairs, start=1):
+                        assert (alpha.tau(a), alpha.tau(b)) == (b, a)
+                        assert (alpha.orbit_index(a), alpha.orbit_index(b)) == (index, index)
+                        assert (alpha.epsilon(a), alpha.epsilon(b)) == (1, -1)
+                    for index, (s,) in enumerate(fixed, start=len(pairs) + 1):
+                        assert (alpha.tau(s), alpha.orbit_index(s), alpha.epsilon(s)) == (
+                            s, index, 1)
+        assert counts == [1, 1, 2, 4, 10, 26]
+
+
+def _matchings(symbols):
+    # Every list of disjoint pairs (a, b), a < b, of the sorted symbols,
+    # sorted by a.
+    if not symbols:
+        yield []
+        return
+    first, rest = symbols[0], symbols[1:]
+    yield from _matchings(rest)
+    for i, partner in enumerate(rest):
+        for pairs in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + pairs
 
 
 class TestValidate:
@@ -450,6 +492,18 @@ class TestEnumeration:
             mine = [canonical_form(p) for p in enumerate_nanophrases(alphabet, n, k)]
             assert set(mine) == oracle
             assert mine == ordered
+
+    def test_double_occurrence_patterns_against_brute_force(self):
+        # Every arrangement of 1 1 2 2 ... n n whose first occurrences
+        # ascend, in lexicographic order, and (2n - 1)!! of them.
+        for n in range(5):
+            ranks = [r for r in range(1, n + 1) for _ in (0, 1)]
+            brute = sorted({"".join(map(chr, seq)) for seq in itertools.permutations(ranks)
+                            if list(dict.fromkeys(seq)) == ranks[::2]})
+            assert list(_double_occurrence_patterns(n)) == brute
+        for n in range(8):
+            count = sum(1 for _ in _double_occurrence_patterns(n))
+            assert count == math.prod(range(2 * n - 1, 0, -2))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_key_enumerator_matches_the_phrase_enumeration(self, name):

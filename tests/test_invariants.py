@@ -498,29 +498,33 @@ def _reference_lines(word, moves, lifted):
     return [(n, _REFERENCE_RENDER[n](funcs[n](word, lifted))) for n in names]
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, *names):
+    # One list that grows by one on each call of any of the named functions.
     import nanowords.invariants as inv
 
     calls = []
-    func = getattr(inv, name)
-    monkeypatch.setattr(inv, name, lambda *args: calls.append(1) or func(*args))
+    for name in names:
+        func = getattr(inv, name)
+        monkeypatch.setattr(inv, name,
+                            lambda *args, func=func: calls.append(1) or func(*args))
     return calls
 
 
 def _assert_lines(word, moves, lifted, reads, tables):
+    # invariant_lines reads the word's key, never its records, and builds
+    # one profile table when it has a So row.
     del reads[:], tables[:]
     lines = invariant_lines(word, moves, lifted)
     names = [name for name, _ in lines]
-    assert len(reads) == (1 if names else 0)
-    assert len(tables) <= 1
+    assert not reads
+    assert len(tables) == ("So" in names)
     assert lines == _reference_lines(word, moves, lifted)
     return names
 
 
 @pytest.mark.parametrize("name", ["curves", "links", "diagonal"])
 def test_invariant_lines_match_public_functions(monkeypatch, name):
-    reads = _counting(monkeypatch, "_phrase_parts")
-    lifted_reads = _counting(monkeypatch, "_lifted_parts")
+    reads = _counting(monkeypatch, "_phrase_parts", "_lifted_parts")
     tables = _counting(monkeypatch, "_profile_table")
     seen = set()
     for k in (1, 2):
@@ -530,7 +534,7 @@ def test_invariant_lines_match_public_functions(monkeypatch, name):
                 seen.add(tuple(_assert_lines(p, data.base_moves, None, reads, tables)))
                 w = phi(p, data.lifted)
                 seen.add(tuple(_assert_lines(w, data.lifted_moves, data.lifted,
-                                             lifted_reads, tables)))
+                                             reads, tables)))
     expected = {"curves": {("lk", "clv", "So", "T"), ("lk", "clv", "So")},
                 "links": {("lk", "clv")},
                 "diagonal": {("lk", "clv", "So", "T"), ("lk", "clv", "So")}}
@@ -538,7 +542,7 @@ def test_invariant_lines_match_public_functions(monkeypatch, name):
 
 
 def test_invariant_lines_on_ornaments_words(monkeypatch):
-    reads = _counting(monkeypatch, "_lifted_parts")
+    reads = _counting(monkeypatch, "_phrase_parts", "_lifted_parts")
     tables = _counting(monkeypatch, "_profile_table")
     data = builtin_data("ornaments", 2)
     for n in range(4):
@@ -563,10 +567,13 @@ def test_invariant_lines_without_guarantees_or_on_other_alphabets(curves, diagon
     assert invariant_lines(p, non_graph) == []
     with pytest.raises(AlphabetMismatch):
         invariant_lines(ph(curves.base_alphabet, "AA", {"A": "a"}), diagonal.base_moves)
+    with pytest.raises(AlphabetMismatch):
+        invariant_lines(ph(curves.base_alphabet, "AA", {"A": "a"}), curves.lifted_moves,
+                        curves.lifted)
 
 
 # The key reader against the phrase path: raw values against the public
-# functions, rendered rows against invariant_lines, on form.to_phrase.
+# functions, rendered rows against their renderings, on form.to_phrase.
 
 _PUBLIC = {"lk": (lk_phrase, lk_lifted), "clv": (clv_phrase, clv_lifted),
            "So": (so_phrase, so_lifted), "T": (t_invariant, None)}
@@ -606,7 +613,7 @@ def _assert_key_reader(keys, alphabet, k, moves, lifted):
         else:
             expected = tuple(_PUBLIC[name][1](phrase, lifted) for name in names)
         assert got == expected, CanonicalForm.from_key(key)
-        assert render_rows(names, got) == invariant_lines(phrase, moves, lifted)
+        assert render_rows(names, got) == _reference_lines(phrase, moves, lifted)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -359,11 +359,12 @@ def test_record_r_is_the_tau_graph(tmp_path, k, proj):
     path = tmp_path / "p.txt"
     path.write_text(f"alpha: a b c\ntau: a=b\nproj: {proj}\nphrase: A B A B\n")
     ctx = load_word_context(argparse.Namespace(builtin=None, k=k), str(path))
-    assert ctx.base.tau_graph == {("a", "b"), ("b", "a"), ("c", "c")}
-    base_moves = MoveSystem.standard(ctx.base, diagonal_triples(ctx.base))
-    if ctx.is_lifted:
+    base = ctx.phrase.alphabet if ctx.lifted is None else ctx.lifted.base
+    assert base.tau_graph == {("a", "b"), ("b", "a"), ("c", "c")}
+    base_moves = MoveSystem.standard(base, diagonal_triples(base))
+    if ctx.lifted is not None:
         lifted, lifted_moves = ctx.lifted, ctx.moves
     else:
         assert ctx.moves == base_moves
-        lifted, lifted_moves = lift_alphabet(ctx.base, base_moves.s, 2)
-    _assert_r_is_the_tau_graph(ctx.base, base_moves, lifted, lifted_moves)
+        lifted, lifted_moves = lift_alphabet(base, base_moves.s, 2)
+    _assert_r_is_the_tau_graph(base, base_moves, lifted, lifted_moves)

@@ -191,10 +191,20 @@ class TestApply:
         MoveSite("M1ins", gaps=((0, 0), (0, 1)), symbols=("a",)),
         MoveSite("M2ins", gaps=((0, 0),), symbols=("a", "b")),
         MoveSite("M2ins", gaps=((0, 0), (0, 1)), symbols=("a",)),
+        MoveSite("M1ins", gaps=((0,),), symbols=("a",)),
+        MoveSite("M1", ("0", "1"), ("A",)),
+        MoveSite("M1", (0.0, 1.0), ("A",)),
+        MoveSite("M1", None, ("A",)),
+        MoveSite("M1ins", gaps=((0, "x"),), symbols=("a",)),
+        MoveSite("M1ins", gaps=((0, 0),), symbols=(["a"],)),
+        MoveSite("M1", (0, 1), (["A"],)),
+        MoveSite("M1", (0, 1), None),
+        MoveSite("M1ins", gaps=None, symbols=("a",)),
+        MoveSite(["M1"], (0, 1), ("A",)),
     ])
     def test_malformed_sites_raise_stale_site(self, curves, site):
-        # Letters, gaps or symbols that do not match the kind's arity, as a
-        # site read from outside the program may have them.
+        # Letters, gaps or symbols that do not match the kind's arity or
+        # types, as a site read from outside the program may have them.
         p = ph(curves.base_alphabet, "AA", {"A": "a"})
         with pytest.raises(StaleSite):
             apply_move(p, site)
