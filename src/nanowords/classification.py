@@ -8,8 +8,9 @@ M3/M3inv, each gated by the same Q/R/S member), so one seed's closure is
 its whole class.  Each class is labelled with its guaranteed invariants,
 which must agree along every move: every state's raw values are read off
 its key (invariants.key_reader, which reads each rank pattern's slots
-and interleaved pairs through a bounded memo) and compared with its
-seed's, and only the returned classes are rendered.
+and interleaved pairs through a bounded memo, makes one dense profile
+pass for So and shares equal row values) and compared with its seed's,
+and only the returned classes are rendered.
 """
 
 from __future__ import annotations

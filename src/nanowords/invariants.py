@@ -14,10 +14,15 @@ At the phrase level (pair deletions gated by the graph of tau):
 The word-level analogues over a lifted alphabet read the component
 pair off each letter's subscripts; they agree with the phrase versions
 on flattened phrases.  One engine computes every value from each
-letter's (symbol, i, j) record and one profile table.  Three adapters
-feed it: a phrase's letters and a lifted word's subscripts (the public
-functions above), and a canonical key's ranks and codes (key_reader,
-which builds no phrase; invariant_lines is key_reader on a word's key).
+letter's (symbol, i, j) record and the interleaved letter pairs: the
+census makes one dense profile pass over the pairs for its
+single-component letters, buckets them by (orbit, profile) and builds a
+vector only for each bucket that survives.  Equal vectors and equal lk
+group elements are one object, from small bounded memos.  Three
+adapters feed it: a phrase's letters and a lifted word's subscripts
+(the public functions above), and a canonical key's ranks and codes
+(key_reader, which builds no phrase; invariant_lines is key_reader on a
+word's key).
 """
 
 from __future__ import annotations
@@ -272,24 +277,62 @@ def _key_parts(key, part):
     return range(n), pairs, parts
 
 
-def _profile_table(alphabet, letters, pairs, parts):
-    """letter -> SigmaVector, from the interleaved letter pairs (_interleaved_pairs).
+def _profile_pass(alphabet, k, pairs, parts, every):
+    """Per letter, its raw dense profile, or None for a letter not counted.
 
-    A pair a < b adds epsilon(|b|) at b's second slot to a's profile and
-    -epsilon(|a|) at a's first slot to b's: the entries that
+    Every entry (j, p, q) of a letter's profile has the letter's own orbit
+    as p, so the profile is p and k * len(orbits) integers, entry (j, p, q)
+    at (j - 1) * len(orbits) + q - 1.  The pass counts every letter when
+    `every` is set and the single-component ones otherwise.  A pair a < b
+    (_interleaved_pairs) adds epsilon(|b|) at b's second slot to a's
+    profile and -epsilon(|a|) at a's first slot to b's: the entries that
     `sigma_table` lists for (a, b) and (b, a).
     """
-    orbit, eps, raws, pair = alphabet._orbit_index, alphabet._epsilon, {}, iter(pairs)
+    orbit, eps, width = alphabet._orbit_index, alphabet._epsilon, len(alphabet.orbits)
+    rows = [[0] * (k * width) if every or i == j else None for _s, i, j in parts]
+    pair = iter(pairs)
     for a, b in zip(pair, pair):
-        (sa, slot_a, _ja), (sb, _ib, slot_b) = parts[a], parts[b]
-        pa, pb = orbit[sa], orbit[sb]
-        raw = raws.setdefault(a, {})
-        raw[slot_b, pa, pb] = raw.get((slot_b, pa, pb), 0) + eps[sb]
-        raw = raws.setdefault(b, {})
-        raw[slot_a, pb, pa] = raw.get((slot_a, pb, pa), 0) - eps[sa]
-    table = dict.fromkeys(letters, _ZERO)
-    for a, raw in raws.items():
-        table[letters[a]] = SigmaVector.build(alphabet.n_free, raw)
+        row = rows[a]
+        if row is not None:
+            sb, _ib, jb = parts[b]
+            row[(jb - 1) * width + orbit[sb] - 1] += eps[sb]
+        row = rows[b]
+        if row is not None:
+            sa, ia, _ja = parts[a]
+            row[(ia - 1) * width + orbit[sa] - 1] -= eps[sa]
+    return rows
+
+
+def _reduced(alphabet, p, row):
+    # The row in its entries' ring: Z/2 where p or q is a fixed orbit.
+    n_free = alphabet.n_free
+    if p > n_free:
+        return tuple([c % 2 for c in row])
+    if alphabet.n_fixed:
+        width = len(alphabet.orbits)
+        return tuple([c % 2 if i % width >= n_free else c for i, c in enumerate(row)])
+    return tuple(row)
+
+
+@lru_cache(maxsize=256)
+def _vector(n_free, width, p, row):
+    # The SigmaVector of a reduced dense row; index order is entry order.
+    # Equal rows share one vector.  Few rows recur: classify --builtin
+    # curves --n 4 --max-states 2000000 builds 6 vectors for 435,600
+    # surviving buckets, and one pass of the seed-1 census benchmark 94.
+    entries = tuple(((i // width + 1, p, i % width + 1), c) for i, c in enumerate(row) if c)
+    return SigmaVector(entries, "ii" if p > n_free else "i") if entries else _ZERO
+
+
+def _profile_table(alphabet, letters, pairs, parts):
+    """letter -> SigmaVector, from the interleaved letter pairs (_interleaved_pairs)."""
+    orbit, n_free, width = alphabet._orbit_index, alphabet.n_free, len(alphabet.orbits)
+    k = max((j for _s, _i, j in parts), default=1)
+    table = {}
+    for ltr, row, (s, _i, _j) in zip(letters, _profile_pass(alphabet, k, pairs, parts, True),
+                                     parts):
+        p = orbit[s]
+        table[ltr] = _vector(n_free, width, p, _reduced(alphabet, p, row))
     return table
 
 
@@ -297,34 +340,38 @@ def _word_pairs(word):
     return _interleaved_pairs(map(word.occurrences, word.letters))
 
 
-def _profile_vectors(phrase, parts=None):
-    """letter -> SigmaVector summing its signed interleavings with all others.
-
-    `parts` are the phrase's records when the caller has already read them.
-    """
+def _profile_vectors(phrase):
+    """letter -> SigmaVector summing its signed interleavings with all others."""
     return _profile_table(phrase.alphabet, phrase.letters, _word_pairs(phrase),
-                          _phrase_parts(phrase) if parts is None else parts)
+                          _phrase_parts(phrase))
 
 
-def _bucketed_census(bucket):
-    # One component's SoValue map from its {vector: signed count}.
-    entries = []
-    for vec in sorted(bucket, key=lambda vec: vec.entries):
-        total = bucket[vec] % 2 if vec.type_class == "ii" else bucket[vec]
-        if total:
-            entries.append((vec, total))
-    return tuple(entries)
+def _census(alphabet, k, _letters, parts, pairs):
+    """Per component, the signed census of its single-component letters' profiles.
 
-
-def _census(alphabet, k, letters, parts, profiles):
-    """Per component, the signed census of its diagonal letters' type (i)/(ii) profiles."""
-    eps, buckets = alphabet._epsilon, [{} for _ in range(k)]
-    for ltr, (s, i, j) in zip(letters, parts):
-        vec = profiles[ltr]
-        if i == j and vec.type_class in ("i", "ii"):
-            bucket = buckets[i - 1]
-            bucket[vec] = bucket.get(vec, 0) + eps[s]
-    return SoValue(tuple(map(_bucketed_census, buckets)))
+    Letters are bucketed by their reduced dense profile (p, row); a
+    vector is built only for each bucket whose count survives.  No
+    profile is of type (iii) (see t_from_so), so every nonzero one counts.
+    """
+    orbit, eps, n_free, width = (alphabet._orbit_index, alphabet._epsilon, alphabet.n_free,
+                                 len(alphabet.orbits))
+    buckets = [{} for _ in range(k)]
+    for row, (s, i, _j) in zip(_profile_pass(alphabet, k, pairs, parts, False), parts):
+        if row is not None and any(row):
+            p = orbit[s]
+            bucket, key = buckets[i - 1], (p, _reduced(alphabet, p, row))
+            bucket[key] = bucket.get(key, 0) + eps[s]
+    maps = []
+    for bucket in buckets:
+        entries = []
+        for (p, row), count in bucket.items():
+            if p > n_free:
+                count %= 2
+            if count and any(row):  # a row that reduced to zero is no entry
+                entries.append((_vector(n_free, width, p, row), count))
+        entries.sort(key=lambda entry: entry[0].entries)
+        maps.append(tuple(entries))
+    return SoValue(tuple(maps))
 
 
 def so_phrase(phrase, moves):
@@ -336,9 +383,8 @@ def so_phrase(phrase, moves):
     _require_graph_tau(moves, phrase)
     so = phrase._so
     if so is None:
-        parts = _phrase_parts(phrase)
-        so = phrase._so = _census(phrase.alphabet, phrase.k, phrase.letters, parts,
-                                  _profile_vectors(phrase, parts))
+        so = phrase._so = _census(phrase.alphabet, phrase.k, None, _phrase_parts(phrase),
+                                  _word_pairs(phrase))
     return so
 
 
@@ -369,7 +415,13 @@ def t_from_so(so_value, n_free):
     return tuple(_collapse(n_free, comp_map) for comp_map in so_value.maps)
 
 
-def _lk(alphabet, k, _letters, parts, _profiles):
+@lru_cache(maxsize=256)
+def _pi_element(alphabet, exps):
+    # Equal exponent tuples share one PiElement.
+    return PiElement._make(alphabet, exps)
+
+
+def _lk(alphabet, k, _letters, parts, _pairs):
     """Per slot pair i<j, the product of the symbols of letters with slots (i, j)."""
     if k < 2:
         return ()
@@ -377,12 +429,12 @@ def _lk(alphabet, k, _letters, parts, _profiles):
     for s, i, j in parts:
         if i != j:
             exps.setdefault((i, j), [0] * width)[orbit[s] - 1] += eps[s]
-    one = PiElement.identity(alphabet)
-    return tuple(PiElement._make(alphabet, exps[i, j]) if (i, j) in exps else one
+    one = [0] * width
+    return tuple(_pi_element(alphabet, tuple(exps.get((i, j), one)))
                  for i in range(1, k) for j in range(i + 1, k + 1))
 
 
-def _clv(_alphabet, k, _letters, parts, _profiles):
+def _clv(_alphabet, k, _letters, parts, _pairs):
     """Per slot, the parity of letters with two different slots touching it."""
     counts = [0] * k
     for _s, i, j in parts:
@@ -406,9 +458,7 @@ def clv_phrase(phrase, moves):
 
 def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
-    parts = _lifted_parts(word, lifted)
-    return _census(lifted.base, lifted.k, word.letters, parts,
-                   _profile_table(lifted.base, word.letters, _word_pairs(word), parts))
+    return _census(lifted.base, lifted.k, None, _lifted_parts(word, lifted), _word_pairs(word))
 
 
 def lk_lifted(word, lifted):
@@ -456,7 +506,7 @@ def _tuple_text(values):
     return "(" + ",".join(map(str, values)) + ")"
 
 
-# name -> (value from (alphabet, k, letters, parts, profiles), its rendering).
+# name -> (value from (alphabet, k, letters, parts, pairs), its rendering).
 # T has no value function: key_reader reads it off So's value.
 _REGISTRY = {
     "lk": (_lk, _tuple_text),
@@ -500,16 +550,15 @@ def key_reader(alphabet, k, moves, lifted=None):
         k = lifted.k
     if names and alphabet != moves.alphabet:
         raise AlphabetMismatch("move system and keys use different alphabets")
-    so, rows = "So" in names, [_REGISTRY[name][0] for name in names]
+    rows = [_REGISTRY[name][0] for name in names]
 
     def values(key):
         # T follows So in every row list, and is read off the census just computed.
         letters, pairs, parts = _key_parts(key, part)
-        profiles = _profile_table(base, letters, pairs, parts) if so else None
         got = []
         for value in rows:
             got.append(t_from_so(got[-1], base.n_free) if value is None
-                       else value(base, k, letters, parts, profiles))
+                       else value(base, k, letters, parts, pairs))
         return tuple(got)
 
     return names, values

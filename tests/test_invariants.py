@@ -25,8 +25,10 @@ from nanowords import (
     check_conditions,
     clv_lifted,
     clv_phrase,
+    diagonal_triples,
     enumerate_nanophrases,
     find_move_sites,
+    lift_alphabet,
     lifted_invariants_applicable,
     lk_lifted,
     lk_phrase,
@@ -43,9 +45,11 @@ from nanowords.invariants import (
     _collapse,
     _interleaving,
     _lifted_parts,
+    _pi_element,
     _profile_table,
     _profile_vectors,
     _rank_pattern,
+    _vector,
     _word_pairs,
     invariant_lines,
     key_reader,
@@ -149,20 +153,24 @@ class TestSoPhrase:
         p = ph(curves.base_alphabet, "|", {})
         assert so_phrase(p, curves.base_moves).maps == ((), ())
 
-    def test_census_leaves_out_type_iii_profiles(self):
-        # A synthetic profile table: no phrase yields a type (iii) profile,
-        # so only a table built by hand shows that the census drops one.
-        # Orbit 1 = {a, b} is free, orbit 2 = {c} fixed.
+    def test_census_leaves_out_zero_cancelled_and_cross_component_letters(self):
+        # Hand-made pairs and records, so each case stands alone.  Orbit
+        # 1 = {a, b} is free, orbit 2 = {c} fixed.  Letter 3 crosses the
+        # components and meets 0, 1 and 2; letters 1 and 2 share the fixed
+        # vector 2:(2,1):1, whose count 1 + 1 cancels mod 2; letter 4 has
+        # the zero profile.  Only letter 0 is left.
         alpha = Alphabet(("a", "b", "c"), {"a": "b"})
-        free = SigmaVector.build(1, {(1, 1, 1): 2})
-        fixed = SigmaVector.build(1, {(1, 2, 2): 1})
-        mixed = SigmaVector.build(1, {(1, 1, 1): 1, (1, 2, 1): 1})
-        other = SigmaVector.build(1, {(2, 1, 2): 1, (1, 2, 2): 1})
-        assert [v.type_class for v in (free, fixed, mixed, other)] == ["i", "ii", "iii", "iii"]
-        profiles = {"A": free, "B": mixed, "C": fixed, "D": other, "E": mixed}
-        parts = [("a", 1, 1), ("a", 1, 1), ("c", 1, 1), ("c", 1, 1), ("b", 2, 2)]
-        so = _census(alpha, 2, tuple(profiles), parts, profiles)
-        assert so.maps == (((free, 1), (fixed, 1)), ())
+        parts = [("a", 1, 1), ("c", 1, 1), ("c", 1, 1), ("a", 1, 2), ("b", 2, 2)]
+        so = _census(alpha, 2, None, parts, (0, 3, 1, 3, 2, 3))
+        assert so.maps == (((SigmaVector.build(1, {(2, 1, 1): 1}), 1),), ())
+        # Apart, a fixed letter keeps its vector; moved into component 2,
+        # letter 3 counts there.
+        assert _census(alpha, 2, None, parts, (1, 3)).maps == (
+            ((SigmaVector.build(1, {(2, 2, 1): 1}), 1),), ())
+        parts[3] = ("a", 2, 2)
+        assert _census(alpha, 2, None, parts, (0, 3)).maps == (
+            ((SigmaVector.build(1, {(2, 1, 1): 1}), 1),),
+            ((SigmaVector.build(1, {(1, 1, 1): -1}), 1),))
 
 
 class TestTInvariant:
@@ -510,14 +518,14 @@ def _counting(monkeypatch, *names):
     return calls
 
 
-def _assert_lines(word, moves, lifted, reads, tables):
-    # invariant_lines reads the word's key, never its records, and builds
-    # one profile table when it has a So row.
-    del reads[:], tables[:]
+def _assert_lines(word, moves, lifted, reads, passes):
+    # invariant_lines reads the word's key, never its records, and makes
+    # one profile pass when it has a So row.
+    del reads[:], passes[:]
     lines = invariant_lines(word, moves, lifted)
     names = [name for name, _ in lines]
     assert not reads
-    assert len(tables) == ("So" in names)
+    assert len(passes) == ("So" in names)
     assert lines == _reference_lines(word, moves, lifted)
     return names
 
@@ -525,16 +533,16 @@ def _assert_lines(word, moves, lifted, reads, tables):
 @pytest.mark.parametrize("name", ["curves", "links", "diagonal"])
 def test_invariant_lines_match_public_functions(monkeypatch, name):
     reads = _counting(monkeypatch, "_phrase_parts", "_lifted_parts")
-    tables = _counting(monkeypatch, "_profile_table")
+    passes = _counting(monkeypatch, "_profile_pass")
     seen = set()
     for k in (1, 2):
         data = builtin_data(name, k)
         for n in range(4):
             for p in enumerate_nanophrases(data.base_alphabet, n, k):
-                seen.add(tuple(_assert_lines(p, data.base_moves, None, reads, tables)))
+                seen.add(tuple(_assert_lines(p, data.base_moves, None, reads, passes)))
                 w = phi(p, data.lifted)
                 seen.add(tuple(_assert_lines(w, data.lifted_moves, data.lifted,
-                                             reads, tables)))
+                                             reads, passes)))
     expected = {"curves": {("lk", "clv", "So", "T"), ("lk", "clv", "So")},
                 "links": {("lk", "clv")},
                 "diagonal": {("lk", "clv", "So", "T"), ("lk", "clv", "So")}}
@@ -543,11 +551,11 @@ def test_invariant_lines_match_public_functions(monkeypatch, name):
 
 def test_invariant_lines_on_ornaments_words(monkeypatch):
     reads = _counting(monkeypatch, "_phrase_parts", "_lifted_parts")
-    tables = _counting(monkeypatch, "_profile_table")
+    passes = _counting(monkeypatch, "_profile_pass")
     data = builtin_data("ornaments", 2)
     for n in range(4):
         for w in enumerate_nanophrases(data.lifted.alphabet, n, 1):
-            assert _assert_lines(w, data.lifted_moves, data.lifted, reads, tables) == [
+            assert _assert_lines(w, data.lifted_moves, data.lifted, reads, passes) == [
                 "lk", "clv", "So"]
 
 
@@ -671,6 +679,82 @@ def test_key_reader_rejects_keys_of_another_level(curves, diagonal):
     alpha = Alphabet(("a",))
     names, values = key_reader(alpha, 1, MoveSystem(alpha, q=("a",)))
     assert names == () and values(canonical_form(ph(alpha, "AA", {"A": "a"})).key) == ()
+
+
+# Free and fixed orbits in one alphabet: the entries with p free and q
+# fixed live mod 2 while those with both free stay integers.
+
+_MIXED = (Alphabet("abc", {"a": "b"}), Alphabet("abcd", {"a": "c"}),
+          Alphabet("abcde", {"a": "b", "c": "d"}))
+
+
+@pytest.mark.parametrize("index", range(len(_MIXED)))
+def test_references_hold_on_mixed_alphabets(index):
+    alphabet = _MIXED[index]
+    assert alphabet.n_free and alphabet.n_fixed
+    rng = random.Random(f"mixed-alphabets:{index}")
+    moves = MoveSystem.standard(alphabet, diagonal_triples(alphabet))
+    mixed_entries = 0
+    for k in (1, 2, 3):
+        lifted, lifted_moves = lift_alphabet(alphabet, diagonal_triples(alphabet), k)
+        phrases = [_random_phrase(rng, alphabet, rng.randint(0, 14), k) for _ in range(200)]
+        for p in phrases:
+            _check_phrase(p, moves)
+            _check_lifted(phi(p, lifted), lifted)
+            mixed_entries += sum(p_ <= alphabet.n_free < q
+                                 for comp_map in so_phrase(p, moves).maps
+                                 for vec, _count in comp_map for (_j, p_, q), _c in vec.entries)
+        _assert_key_reader([canonical_form(p).key for p in phrases], alphabet, k, moves, None)
+        _assert_key_reader([canonical_form(phi(p, lifted)).key for p in phrases],
+                           lifted.alphabet, 1, lifted_moves, lifted)
+    assert mixed_entries > 0
+
+
+def _flush_row_memos():
+    # Evicts every entry of the vector and group-element memos with
+    # entries no word here reaches.
+    junk = Alphabet(("z",))
+    for i in range(_vector.cache_info().maxsize):
+        _vector(0, 1, 1, (i + 2,))
+    for i in range(_pi_element.cache_info().maxsize):
+        _pi_element(junk, (i,))
+
+
+def test_row_values_do_not_depend_on_their_memos():
+    # key_reader values, so_phrase and lk_phrase on fresh phrases, read
+    # with cold memos, with warm ones, and after every entry was evicted.
+    cases = []
+    for name, k in (("curves", 2), ("links", 3), ("diagonal", 2)):
+        data = builtin_data(name, k)
+        keys = [form.key for form in grown_forms(data.base_moves, k, 6, f"memos:{name}")]
+        cases.append((data.base_alphabet, k, data.base_moves, keys))
+    alphabet = _MIXED[2]
+    moves = MoveSystem.standard(alphabet, diagonal_triples(alphabet))
+    rng = random.Random("row-memos")
+    cases.append((alphabet, 2, moves, [canonical_form(_random_phrase(rng, alphabet, 12, 2)).key
+                                       for _ in range(6)]))
+
+    def read():
+        got = []
+        for alphabet, k, moves, keys in cases:
+            _names, values = key_reader(alphabet, k, moves)
+            for key in keys:
+                phrase = CanonicalForm.from_key(key).to_phrase(alphabet)
+                got.append((values(key), so_phrase(phrase, moves), lk_phrase(phrase, moves)))
+        return got
+
+    _vector.cache_clear()
+    _pi_element.cache_clear()
+    cold = read()
+    assert _vector.cache_info().currsize and _pi_element.cache_info().currsize
+    assert read() == cold
+    _flush_row_memos()
+    assert read() == cold
+    # Warm, equal row values are one object.
+    shared = read()
+    assert all(a is b for (_v, so_a, _l), (_w, so_b, _m) in zip(shared, read())
+               for map_a, map_b in zip(so_a.maps, so_b.maps)
+               for (a, _c), (b, _d) in zip(map_a, map_b))
 
 
 # Invariance on random explicit systems, beyond the built-ins.
