@@ -149,10 +149,6 @@ class MoveSystem:
         self.r_is_graph_of_tau = self.r == alphabet.tau_graph
         self._hash = hash((alphabet, self.q, self.r, self.s))
 
-    @property
-    def s_is_sub_diagonal(self):
-        return all(t[0] == t[1] == t[2] for t in self.s)
-
     @classmethod
     def standard(cls, alphabet, s):
         """Q = whole alphabet, R = graph of tau, with the given S."""

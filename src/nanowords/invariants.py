@@ -1,28 +1,28 @@
-"""Quantities preserved by the gated rewrite moves.
+"""Quantities preserved by the gated rewrite moves, and when they are.
 
-At the phrase level (pair deletions gated by the graph of tau):
-
-* lk_phrase: for each component pair i<j, the product in the
-  abelianization pi(alphabet, tau) of the symbols of letters crossing
-  those two components.
-* clv_phrase: per component, the parity of cross-component letters.
-* so_phrase: per component, a signed census of single-component letters
+* lk: for each component pair i<j, the product in the abelianization
+  pi(alphabet, tau) of the symbols of letters crossing those two
+  components.
+* clv: per component, the parity of cross-component letters.
+* So: per component, a signed census of single-component letters
   bucketed by their interleaving profile (the map (B_P)_j).
-* t_invariant: the per-component collapse of the same data, read off
-  so_phrase's value (t_from_so).
+* T: the per-component collapse of the same data, read off So's value
+  (t_from_so).
 
-The word-level analogues over a lifted alphabet read the component
-pair off each letter's subscripts; they agree with the phrase versions
-on flattened phrases.  One engine computes every value from each
-letter's (symbol, i, j) record and the interleaved letter pairs: the
-census makes one dense profile pass over the pairs for its
-single-component letters, buckets them by (orbit, profile) and builds a
-vector only for each bucket that survives.  Equal vectors and equal lk
-group elements are one object, from small bounded memos.  Three
-adapters feed it: a phrase's letters and a lifted word's subscripts
-(the public functions above), and a canonical key's ranks and codes
-(key_reader, which builds no phrase; invariant_lines is key_reader on a
-word's key).
+Each row's _REGISTRY entry holds its value function, its rendering and
+its clauses on (Q, R, S), one per move kind whose proof needs it, read
+alike at the phrase level and at the word level (no T row).  A word over
+a lifted alphabet reads each letter's component pair off its subscripts,
+and its rows agree with the phrase rows on flattened phrases.  One
+engine computes every value from each letter's (symbol, i, j) record and
+the interleaved letter pairs: the census makes one dense profile pass over
+the pairs for its single-component letters, buckets them by (orbit,
+profile) and builds a vector only for each bucket that survives.  Equal
+vectors and equal lk group elements are one object, from small bounded
+memos.  Three adapters feed it: a phrase's letters and a lifted word's
+subscripts (the public per-row functions lk_phrase ... so_lifted), and
+a canonical key's ranks and codes (key_reader, which builds no phrase;
+invariant_lines is key_reader on a word's key).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from .core import Alphabet, AlphabetMismatch, NanowordError, _symbol_of, canonical_form
-from .lift import _require_lifted_word
+from .lift import _require_lifted_word, diagonal_triples
 
 
 class NonGraphR(NanowordError):
@@ -262,7 +262,7 @@ def _rank_pattern(packed):
 
 
 def _key_parts(key, part):
-    """Letters, interleaved pairs and (symbol, i, j) records off a canonical key.
+    """Interleaved pairs and (symbol, i, j) records off a canonical key.
 
     Letters are 0..n-1 in rank order.  The pairs and the slots i and j
     (the boundaries before each occurrence, plus one) depend only on the
@@ -273,8 +273,7 @@ def _key_parts(key, part):
     n = ord(key[0])
     firsts, seconds, pairs = _rank_pattern(key[1:len(key) - n])
     symbols = map(_symbol_of.__getitem__, key[len(key) - n:])
-    parts = list(zip(symbols, firsts, seconds) if part is None else map(part, symbols))
-    return range(n), pairs, parts
+    return pairs, list(zip(symbols, firsts, seconds) if part is None else map(part, symbols))
 
 
 def _profile_pass(alphabet, k, pairs, parts, every):
@@ -346,7 +345,7 @@ def _profile_vectors(phrase):
                           _phrase_parts(phrase))
 
 
-def _census(alphabet, k, _letters, parts, pairs):
+def _census(alphabet, k, parts, pairs):
     """Per component, the signed census of its single-component letters' profiles.
 
     Letters are bucketed by their reduced dense profile (p, row); a
@@ -383,7 +382,7 @@ def so_phrase(phrase, moves):
     _require_graph_tau(moves, phrase)
     so = phrase._so
     if so is None:
-        so = phrase._so = _census(phrase.alphabet, phrase.k, None, _phrase_parts(phrase),
+        so = phrase._so = _census(phrase.alphabet, phrase.k, _phrase_parts(phrase),
                                   _word_pairs(phrase))
     return so
 
@@ -421,7 +420,7 @@ def _pi_element(alphabet, exps):
     return PiElement._make(alphabet, exps)
 
 
-def _lk(alphabet, k, _letters, parts, _pairs):
+def _lk(alphabet, k, parts, _pairs):
     """Per slot pair i<j, the product of the symbols of letters with slots (i, j)."""
     if k < 2:
         return ()
@@ -434,7 +433,7 @@ def _lk(alphabet, k, _letters, parts, _pairs):
                  for i in range(1, k) for j in range(i + 1, k + 1))
 
 
-def _clv(_alphabet, k, _letters, parts, _pairs):
+def _clv(_alphabet, k, parts, _pairs):
     """Per slot, the parity of letters with two different slots touching it."""
     counts = [0] * k
     for _s, i, j in parts:
@@ -447,73 +446,80 @@ def _clv(_alphabet, k, _letters, parts, _pairs):
 def lk_phrase(phrase, moves):
     """Products over cross-component letters, one per component pair i<j."""
     _require_graph_tau(moves, phrase)
-    return _lk(phrase.alphabet, phrase.k, None, _phrase_parts(phrase), None)
+    return _lk(phrase.alphabet, phrase.k, _phrase_parts(phrase), None)
 
 
 def clv_phrase(phrase, moves):
     """Per component, the parity of letters with one occurrence elsewhere."""
     _require_graph_tau(moves, phrase)
-    return _clv(None, phrase.k, None, _phrase_parts(phrase), None)
+    return _clv(None, phrase.k, _phrase_parts(phrase), None)
 
 
 def so_lifted(word, lifted):
     """Word-level census: members are the diagonal-subscript letters."""
-    return _census(lifted.base, lifted.k, None, _lifted_parts(word, lifted), _word_pairs(word))
+    return _census(lifted.base, lifted.k, _lifted_parts(word, lifted), _word_pairs(word))
 
 
 def lk_lifted(word, lifted):
     """Subscript-pair products in the base abelianization, pairs i<j."""
-    return _lk(lifted.base, lifted.k, None, _lifted_parts(word, lifted), None)
+    return _lk(lifted.base, lifted.k, _lifted_parts(word, lifted), None)
 
 
 def clv_lifted(word, lifted):
     """Per component, the parity of off-diagonal letters touching it."""
-    return _clv(None, lifted.k, None, _lifted_parts(word, lifted), None)
+    return _clv(None, lifted.k, _lifted_parts(word, lifted), None)
 
 
-def phrase_invariants_applicable(moves):
-    """Names of phrase invariants whose preservation the system guarantees.
-
-    All of them need R = graph(tau).  The census and its collapse also
-    need every S triple to be diagonal.
-    """
-    if not moves.r_is_graph_of_tau:
-        return ()
-    names = ("lk", "clv")
-    if moves.s_is_sub_diagonal:
-        names += ("So", "T")
-    return names
+def _one_slot_q(moves, lifted):
+    # M1: lk and clv count two-slot letters, so an M1 letter (|x| in Q)
+    # must have one slot.  A phrase's doubled letter sits in one
+    # component; at the word level Q must lie within the s_i_i symbols.
+    return lifted is None or moves.q <= lifted.q_symbols()
 
 
-def lifted_invariants_applicable(moves, lifted):
-    """Names of word-level invariants guaranteed under a lifted system.
-
-    lk and clv additionally need Q within the diagonal-subscript symbols;
-    the census instead tolerates any Q but needs S within the lifted
-    diagonal.
-    """
-    if moves.alphabet != lifted.alphabet or not moves.r_is_graph_of_tau:
-        return ()
-    names = ()
-    if moves.q <= lifted.q_symbols():
-        names += ("lk", "clv")
-    if moves.s <= lifted.diagonal_triples():
-        names += ("So",)
-    return names
+def _diagonal_s(moves, lifted):
+    # M3: the census needs every S triple within the level's diagonal.
+    return moves.s <= (diagonal_triples(moves.alphabet) if lifted is None
+                       else lifted.diagonal_triples())
 
 
 def _tuple_text(values):
     return "(" + ",".join(map(str, values)) + ")"
 
 
-# name -> (value from (alphabet, k, letters, parts, pairs), its rendering).
-# T has no value function: key_reader reads it off So's value.
+# name -> (value from (alphabet, k, parts, pairs), its rendering, and
+# applies(moves, lifted): the row's clauses, per move kind, at the phrase
+# level when lifted is None and at the word level otherwise).  T has no
+# value function: key_reader reads it off So's value.
 _REGISTRY = {
-    "lk": (_lk, _tuple_text),
-    "clv": (_clv, _tuple_text),
-    "So": (_census, str),
-    "T": (None, lambda blocks: "; ".join(f"{j}: {b}" for j, b in enumerate(blocks, start=1))),
+    "lk": (_lk, _tuple_text, _one_slot_q),
+    # M2 moves each clv parity by 2 (its letters share slots), but clv
+    # keeps R's clause: without it, `invariants` would print clv, not exit 2.
+    "clv": (_clv, _tuple_text, _one_slot_q),
+    "So": (_census, str, _diagonal_s),
+    # T has no word-level row: one would change the lifted output.
+    "T": (None, lambda blocks: "; ".join(f"{j}: {b}" for j, b in enumerate(blocks, start=1)),
+          lambda moves, lifted: lifted is None and _diagonal_s(moves, lifted)),
 }
+
+
+def _admitted(moves, lifted):
+    # The rows whose clauses hold, in registry order.  M2: every row needs
+    # R = graph(tau), so that an xy..yx pair cancels; one check serves all.
+    if not moves.r_is_graph_of_tau or lifted is not None and moves.alphabet != lifted.alphabet:
+        return ()
+    return tuple(name for name, (_value, _render, applies) in _REGISTRY.items()
+                 if applies(moves, lifted))
+
+
+def phrase_invariants_applicable(moves):
+    """Names of the phrase rows whose _REGISTRY clauses the system meets."""
+    return _admitted(moves, None)
+
+
+def lifted_invariants_applicable(moves, lifted):
+    """Names of the word-level rows whose _REGISTRY clauses the system meets."""
+    return _admitted(moves, lifted)
 
 
 def invariant_lines(word, moves, lifted=None):
@@ -541,24 +547,22 @@ def key_reader(alphabet, k, moves, lifted=None):
     render_rows(names, values(key)) is invariant_lines on the key's
     phrase; no phrase is built.
     """
-    if lifted is None:
-        names, base, part = phrase_invariants_applicable(moves), alphabet, None
-    else:
-        names, base, part = lifted_invariants_applicable(moves, lifted), lifted.base, lifted.part
+    names, base, part = _admitted(moves, lifted), alphabet, None
+    if lifted is not None:
         if names and k != 1:
             raise NanowordError("expected a one-component word")
-        k = lifted.k
+        base, part, k = lifted.base, lifted.part, lifted.k
     if names and alphabet != moves.alphabet:
         raise AlphabetMismatch("move system and keys use different alphabets")
     rows = [_REGISTRY[name][0] for name in names]
 
     def values(key):
         # T follows So in every row list, and is read off the census just computed.
-        letters, pairs, parts = _key_parts(key, part)
+        pairs, parts = _key_parts(key, part)
         got = []
         for value in rows:
             got.append(t_from_so(got[-1], base.n_free) if value is None
-                       else value(base, k, letters, parts, pairs))
+                       else value(base, k, parts, pairs))
         return tuple(got)
 
     return names, values

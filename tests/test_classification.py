@@ -9,6 +9,7 @@ from nanowords import (
     MoveSystem,
     builtin_data,
     canonical_form,
+    diagonal_triples,
     enumerate_nanophrases,
     phi,
 )
@@ -140,7 +141,8 @@ def test_a_row_that_moves_change_fails_the_gate(monkeypatch):
     import nanowords.invariants as inv
 
     monkeypatch.setitem(inv._REGISTRY, "clv",
-                        (lambda _alphabet, _k, letters, _parts, _profiles: len(letters), str))
+                        (lambda _alphabet, _k, parts, _pairs: len(parts), str,
+                         inv._REGISTRY["clv"][2]))
     with pytest.raises(ConsistencyError, match="disagree on invariants"):
         classify(_context("curves", 1), 1, 3, 1000)
 
@@ -248,7 +250,8 @@ def test_random_systems_are_distinct(k):
 
 def test_base_classes_are_lifted_classes_on_random_homotopy_data_slice():
     systems = random_systems(4)
-    assert any(not data.base_moves.s_is_sub_diagonal for data in systems)
+    assert any(not data.base_moves.s <= diagonal_triples(data.base_alphabet)
+               for data in systems)
     _assert_phi_keeps_random_partitions(systems, 2)
 
 
@@ -263,7 +266,8 @@ def test_base_classes_are_lifted_classes_on_random_homotopy_data():
 
 def test_base_classes_are_lifted_classes_on_random_homotopy_data_at_k3_slice():
     systems = random_systems(4, 3)
-    assert any(not data.base_moves.s_is_sub_diagonal for data in systems)
+    assert any(not data.base_moves.s <= diagonal_triples(data.base_alphabet)
+               for data in systems)
     _assert_phi_keeps_random_partitions(systems, 1)
     one_symbol = systems[2]
     assert len(one_symbol.base_alphabet.symbols) == 1

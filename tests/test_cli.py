@@ -84,6 +84,20 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", f)
         assert code == 2 and "graph of tau" in err
 
+    def test_a_records_off_diagonal_s_line_keeps_only_lk_and_clv(self, capsys, tmp_path):
+        f = write(tmp_path, "p.txt", "alpha: a b\ntau: a=b\nS: a a a / a b a\n"
+                                     "proj: A=a B=b\nphrase: A B A B\n")
+        code, out, _ = run(capsys, "invariants", f)
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()][3:] == ["lk", "clv"]
+
+    def test_a_records_non_graph_r_line_guarantees_no_row(self, capsys, tmp_path):
+        f = write(tmp_path, "p.txt", "alpha: a b\ntau: a=b\nR: a=a b=b\n"
+                                     "proj: A=a B=b\nphrase: A B A B\n")
+        code, out, err = run(capsys, "invariants", f)
+        assert (code, out) == (2, "")
+        assert "no invariant is guaranteed under this move system" in err
+
     def test_custom_q_line_is_rejected_at_the_lifted_level(self, capsys, tmp_path):
         f = write(tmp_path, "p.txt", "alpha: x y\ntau: x=y\nQ: x\nproj: A=x_1_2\nphrase: A A\n")
         code, out, err = run(capsys, "invariants", f, "--k", "2")

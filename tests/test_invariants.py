@@ -41,6 +41,7 @@ from nanowords import (
     t_invariant,
 )
 from nanowords.invariants import (
+    _REGISTRY,
     _census,
     _collapse,
     _interleaving,
@@ -161,14 +162,14 @@ class TestSoPhrase:
         # the zero profile.  Only letter 0 is left.
         alpha = Alphabet(("a", "b", "c"), {"a": "b"})
         parts = [("a", 1, 1), ("c", 1, 1), ("c", 1, 1), ("a", 1, 2), ("b", 2, 2)]
-        so = _census(alpha, 2, None, parts, (0, 3, 1, 3, 2, 3))
+        so = _census(alpha, 2, parts, (0, 3, 1, 3, 2, 3))
         assert so.maps == (((SigmaVector.build(1, {(2, 1, 1): 1}), 1),), ())
         # Apart, a fixed letter keeps its vector; moved into component 2,
         # letter 3 counts there.
-        assert _census(alpha, 2, None, parts, (1, 3)).maps == (
+        assert _census(alpha, 2, parts, (1, 3)).maps == (
             ((SigmaVector.build(1, {(2, 2, 1): 1}), 1),), ())
         parts[3] = ("a", 2, 2)
-        assert _census(alpha, 2, None, parts, (0, 3)).maps == (
+        assert _census(alpha, 2, parts, (0, 3)).maps == (
             ((SigmaVector.build(1, {(2, 1, 1): 1}), 1),),
             ((SigmaVector.build(1, {(1, 1, 1): -1}), 1),))
 
@@ -299,6 +300,136 @@ def test_applicability_rules(curves, links):
                         q=curves2.lifted.alphabet.symbols,
                         r=curves2.lifted_moves.r, s=curves2.lifted_moves.s)
     assert lifted_invariants_applicable(open_q, curves2.lifted) == ("So",)
+
+
+# Applicability against the two name lists it replaced, written out.
+
+def _earlier_rules(moves, lifted):
+    if lifted is None:
+        if not moves.r_is_graph_of_tau:
+            return ()
+        if all(t[0] == t[1] == t[2] for t in moves.s):
+            return ("lk", "clv", "So", "T")
+        return ("lk", "clv")
+    if moves.alphabet != lifted.alphabet or not moves.r_is_graph_of_tau:
+        return ()
+    names = ()
+    if moves.q <= lifted.q_symbols():
+        names += ("lk", "clv")
+    if moves.s <= lifted.diagonal_triples():
+        names += ("So",)
+    return names
+
+
+def _random_rules_system(rng, alphabet, q_pool, s_pool):
+    """Q and S drawn from the pools, now and then with one symbol or triple from anywhere.
+
+    R is the graph of tau or, about a third of the time, random pairs.
+    """
+    symbols = alphabet.symbols
+    q = rng.sample(sorted(q_pool), rng.randint(0, len(q_pool)))
+    s = rng.sample(sorted(s_pool), rng.randint(0, len(s_pool)))
+    if rng.random() < 0.3:
+        q.append(rng.choice(symbols))
+    if rng.random() < 0.3:
+        s.append(tuple(rng.choice(symbols) for _ in range(3)))
+    r = alphabet.tau_graph
+    if rng.random() < 0.3:
+        pairs = list(itertools.product(symbols, repeat=2))
+        r = rng.sample(pairs, rng.randint(0, min(3, len(pairs))))
+    return MoveSystem(alphabet, q, r, s)
+
+
+def test_applicability_matches_the_earlier_rules_on_random_systems():
+    # Free, fixed and mixed alphabets lifted at k = 1..3; one word-level
+    # system in ten is over another lifted alphabet.
+    rng = random.Random("applicability")
+    seen = set()
+    for _ in range(1_500):
+        n_free = rng.randint(0, 2)
+        symbols = "abcd"[:2 * n_free + rng.randint(0 if n_free else 1, 4 - 2 * n_free)]
+        base = Alphabet(symbols, {symbols[2 * i]: symbols[2 * i + 1] for i in range(n_free)})
+        lifted = LiftedAlphabet(base, rng.randint(1, 3))
+        moves = _random_rules_system(rng, base, base.symbols, diagonal_triples(base))
+        names = phrase_invariants_applicable(moves)
+        assert names == _earlier_rules(moves, None), moves
+        seen.add((None, names))
+        over = lifted if rng.random() < 0.9 else LiftedAlphabet(base, lifted.k % 3 + 1)
+        moves = _random_rules_system(rng, over.alphabet, over.q_symbols(),
+                                     over.diagonal_triples())
+        names = lifted_invariants_applicable(moves, lifted)
+        assert names == _earlier_rules(moves, lifted), moves
+        seen.add((lifted.k, names))
+    phrase_level = {(), ("lk", "clv"), ("lk", "clv", "So", "T")}
+    word_level = {(), ("lk", "clv"), ("So",), ("lk", "clv", "So")}
+    # At k = 1 every lifted symbol is some s_1_1, so Q never fails M1.
+    assert seen == {(None, names) for names in phrase_level} | {
+        (k, names) for k in (1, 2, 3) for names in word_level if k > 1 or names != ("So",)}
+
+
+# Each clause is needed: for each, a system that fails only that clause
+# and a kernel edge along which a row the clause guards changes value.
+# Q, R and S are otherwise the built-ins' (curves lifted at k = 2 with Q
+# opened to every symbol; the curves alphabet with R = {(a,a), (b,b)};
+# links, whose S mixes orbits).
+
+_GUARDED = {"M1": {"lk", "clv"}, "M2": {"lk", "clv", "So", "T"}, "M3": {"So", "T"}}
+
+_CLAUSE_EDGES = [
+    # (row, failed clause, word level, source, move, target)
+    ("lk", "M1", True, ";", "M1ins", "1 1 ; a_1_2"),
+    ("clv", "M1", True, ";", "M1ins", "1 1 ; a_1_2"),
+    ("lk", "M2", False, "| ;", "M2ins", "1 2 | 2 1 ; a a"),
+    ("So", "M2", False, "1 1 ; a", "M2ins", "1 2 3 2 1 3 ; a a a"),
+    ("T", "M2", False, "| 1 1 ; a", "M2ins", "1 2 | 3 2 1 3 ; a a a"),
+    ("So", "M3", False, "1 2 1 3 2 3 ; a+ a+ a-", "M3", "1 2 3 2 3 1 ; a+ a+ a-"),
+    ("T", "M3", False, "1 2 | 1 3 2 3 ; a+ a- a-", "M3", "1 2 | 3 2 3 1 ; a- a+ a-"),
+    ("So", "M3", True, "1 2 1 3 2 3 ; a+_1_1 a+_1_1 a-_1_1", "M3",
+     "1 2 3 2 3 1 ; a+_1_1 a+_1_1 a-_1_1"),
+]
+
+
+def _form(text):
+    """The form that serialize() renders as `text`."""
+    body, _, symbols = text.partition(";")
+    return CanonicalForm([tuple(map(int, comp.split())) for comp in body.split("|")],
+                         symbols.split())
+
+
+def _clause_system(clause, word_level):
+    """(moves, lifted) failing only `clause`; lifted is None at the phrase level."""
+    if clause == "M1":
+        curves2 = builtin_data("curves", 2)
+        lifted, moves = curves2.lifted, curves2.lifted_moves
+        return MoveSystem(lifted.alphabet, q=lifted.alphabet.symbols, r=moves.r, s=moves.s), lifted
+    if clause == "M2":
+        alphabet = builtin_data("curves").base_alphabet
+        return MoveSystem(alphabet, q=alphabet.symbols, r=[("a", "a"), ("b", "b")],
+                          s=diagonal_triples(alphabet)), None
+    links = builtin_data("links", 1)
+    return (links.lifted_moves, links.lifted) if word_level else (links.base_moves, None)
+
+
+def test_every_row_has_a_clause_counterexample():
+    assert {row for row, *_rest in _CLAUSE_EDGES} == set(_REGISTRY)
+
+
+@pytest.mark.parametrize("row,clause,word_level,source,kind,target", _CLAUSE_EDGES)
+def test_each_clause_has_a_counterexample_edge(row, clause, word_level, source, kind, target):
+    moves, lifted = _clause_system(clause, word_level)
+    before, after = _form(source), _form(target)
+    assert (str(before), str(after)) == (source, target)
+    assert kind in [site.kind for site, child in
+                    _expand(before.key, moves, before.n_letters + 2) if child == after.key]
+    # Every row of the level, read as a system that meets every clause would.
+    alphabet = moves.alphabet
+    names, values = key_reader(alphabet, 1 if word_level else before.k,
+                               MoveSystem(alphabet, r=alphabet.tau_graph), lifted)
+    index = names.index(row)
+    assert values(before.key)[index] != values(after.key)[index]
+    admitted = (lifted_invariants_applicable(moves, lifted) if word_level
+                else phrase_invariants_applicable(moves))
+    assert admitted == tuple(name for name in names if name not in _GUARDED[clause])
 
 
 def _phrase_profile(phrase, moves):
@@ -759,31 +890,39 @@ def test_row_values_do_not_depend_on_their_memos():
 
 # Invariance on random explicit systems, beyond the built-ins.
 
-def _random_system(rng):
+def _random_system(rng, mixed=False):
     """A random system: free and fixed orbits, random Q and S within the diagonal.
 
-    Up to four symbols; R is the graph of tau.
+    Up to four symbols; R is the graph of tau.  A mixed system has two or
+    more symbols, and one to three of its S triples mix them.
     """
     n_free = rng.randint(0, 2)
-    symbols = "abcd"[:2 * n_free + rng.randint(0 if n_free else 1, 4 - 2 * n_free)]
+    symbols = "abcd"[:2 * n_free + rng.randint(0 if n_free else 1 + mixed, 4 - 2 * n_free)]
     alphabet = Alphabet(symbols, {symbols[2 * i]: symbols[2 * i + 1] for i in range(n_free)})
-    return MoveSystem(alphabet, q=[s for s in symbols if rng.random() < 0.5],
-                      r=alphabet.tau_graph, s=[(s, s, s) for s in symbols if rng.random() < 0.5])
+    q = [x for x in symbols if rng.random() < 0.5]
+    s = [(x, x, x) for x in symbols if rng.random() < 0.5]
+    if mixed:
+        s += rng.sample([t for t in itertools.product(symbols, repeat=3) if len(set(t)) > 1],
+                        rng.randint(1, 3))
+    return MoveSystem(alphabet, q=q, r=alphabet.tau_graph, s=s)
 
 
 def _assert_rows_hold(moves, top):
     """The rows a system guarantees, unchanged across every move site.
 
-    Sites of every form with n <= top letters (n <= 2 on four symbols)
-    and k <= 2.  Rows are read off keys and children come from the
-    kernel, both pinned to the phrase path above and in test_moves.
-    Returns the number of children checked.
+    Those are every row when S lies within the diagonal and lk and clv
+    otherwise.  Sites of every form with n <= top letters (n <= 2 on
+    four symbols) and k <= 2.  Rows are read off keys and children come
+    from the kernel, both pinned to the phrase path above and in
+    test_moves.  Returns the number of children checked.
     """
     top = min(top, 2 if len(moves.alphabet) == 4 else 3)
+    expected = (("lk", "clv", "So", "T") if moves.s <= diagonal_triples(moves.alphabet)
+                else ("lk", "clv"))
     checked = 0
     for k in (1, 2):
         names, values = key_reader(moves.alphabet, k, moves)
-        assert names == ("lk", "clv", "So", "T")
+        assert names == expected
         for n in range(top + 1):
             for phrase in enumerate_nanophrases(moves.alphabet, n, k):
                 key = canonical_form(phrase).key
@@ -798,6 +937,10 @@ def test_rows_hold_on_random_explicit_systems_slice():
     rng = random.Random("explicit-systems")
     systems = [_random_system(rng) for _ in range(4)]
     assert sum(_assert_rows_hold(moves, 2) for moves in systems) > 10_000
+    # S off the diagonal: only lk and clv are admitted, and they hold.
+    rng = random.Random("explicit-systems-mixed")
+    systems = [_random_system(rng, mixed=True) for _ in range(5)]
+    assert sum(_assert_rows_hold(moves, 2) for moves in systems) > 60_000
 
 
 @pytest.mark.slow
@@ -806,4 +949,8 @@ def test_rows_hold_on_random_explicit_systems():
     systems = [_random_system(rng) for _ in range(24)]
     assert {moves.alphabet.n_free > 0 for moves in systems} == {True, False}
     assert {moves.alphabet.n_fixed > 0 for moves in systems} == {True, False}
+    assert sum(_assert_rows_hold(moves, 3) for moves in systems) > 1_000_000
+    rng = random.Random("explicit-systems-mixed")
+    systems = [_random_system(rng, mixed=True) for _ in range(12)]
+    assert {moves.alphabet.n_free for moves in systems} == {0, 1, 2}
     assert sum(_assert_rows_hold(moves, 3) for moves in systems) > 1_000_000

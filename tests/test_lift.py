@@ -293,7 +293,7 @@ class TestBuiltins:
         assert len(data.base_moves.s) == 12
         assert data.base_alphabet.tau("a+") == "b-"
         assert data.base_alphabet.tau("a-") == "b+"
-        assert not data.base_moves.s_is_sub_diagonal
+        assert not data.base_moves.s <= diagonal_triples(data.base_alphabet)
 
     def test_diagonal_is_one_fixed_symbol(self):
         data = builtin_data("diagonal")
