@@ -5,12 +5,15 @@ enumerated form that no earlier closure reached.  The seeds are the
 enumeration's keys (core._enumerate_keys), so no phrase is built.
 Inside the letter budget every move has its inverse (M1/M1ins, M2/M2ins,
 M3/M3inv, each gated by the same Q/R/S member), so one seed's closure is
-its whole class.  Each class is labelled with its guaranteed invariants,
-which must agree along every move: every state's raw values are read off
-its key (invariants.key_reader, which reads each rank pattern's slots
-and interleaved pairs through a bounded memo, makes one dense profile
-pass for So and shares equal row values) and compared with its seed's,
-and only the returned classes are rendered.
+its whole class.  A state at the letter budget, where no insertion fits,
+gets its matched children as one list (kernel._children).  Each class is
+labelled with its guaranteed invariants, which must agree along every
+move: every state's raw values are read off its key (invariants.key_reader,
+which reads each rank pattern's slots and interleaved pairs through a
+bounded memo, makes one dense profile pass for So, shares equal row values
+and builds T once per distinct So, at most once per closure) and compared
+with its seed's.  Only the returned classes are rendered, and each form is
+serialized once, for both orders.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, groupby
+from operator import itemgetter
 
 from .core import Alphabet, CanonicalForm, ConsistencyError, MoveSystem, _enumerate_keys
 from .invariants import key_reader, render_rows
@@ -85,15 +89,16 @@ def classify(ctx, n_letters, max_letters, max_states):
         certified[seed] = not (cut or truncated)
 
     forms = {seed: _form(seed) for seed in seeds}
-    class_of = {}
+    class_of = {}  # each member with its text, serialized once
     for seed, form in forms.items():
-        class_of.setdefault(home[seed], []).append(form)
+        class_of.setdefault(home[seed], []).append((form.serialize(), form))
     classes = []
     for root, members in class_of.items():
-        members.sort(key=lambda f: f.serialize())
+        members.sort(key=itemgetter(0))
         key = " ".join(f"{name}={text}" for name, text in render_rows(names, values[root]))
-        classes.append((members[0], key, members, certified[root]))
-    classes.sort(key=lambda item: (item[1], item[0].serialize()))
+        text, first = members[0]
+        classes.append((first, key, [form for _text, form in members], certified[root], text))
+    classes.sort(key=itemgetter(1, 4))
 
     unknown_pairs = [(a[0], b[0]) for _key, group in groupby(classes, key=lambda c: c[1])
                      for a, b in combinations(group, 2) if not (a[3] or b[3])]

@@ -528,7 +528,7 @@ def invariant_lines(word, moves, lifted=None):
     `lifted` selects the word level over that lifted alphabet; None
     selects the phrase level.  The rows are key_reader's on the word's
     canonical key.  There are no rows when the system guarantees no
-    invariant.
+    invariant, and AlphabetMismatch when it is over another alphabet.
     """
     names, values = key_reader(word.alphabet, word.k, moves, lifted)
     return render_rows(names, values(canonical_form(word).key)) if names else []
@@ -545,24 +545,29 @@ def key_reader(alphabet, k, moves, lifted=None):
     The keys are of phrases over `alphabet` with k components, or of
     words over `lifted`.  values(key) is the tuple of raw row values, and
     render_rows(names, values(key)) is invariant_lines on the key's
-    phrase; no phrase is built.
+    phrase; no phrase is built.  T is built once per distinct So in a row:
+    the reader keeps the last (So, T) pair, read and replaced whole.
     """
+    if alphabet != moves.alphabet or lifted is not None and lifted.alphabet != alphabet:
+        raise AlphabetMismatch("move system and keys use different alphabets")
     names, base, part = _admitted(moves, lifted), alphabet, None
     if lifted is not None:
         if names and k != 1:
             raise NanowordError("expected a one-component word")
         base, part, k = lifted.base, lifted.part, lifted.k
-    if names and alphabet != moves.alphabet:
-        raise AlphabetMismatch("move system and keys use different alphabets")
-    rows = [_REGISTRY[name][0] for name in names]
+    rows, last = [_REGISTRY[name][0] for name in names], (None, None)
 
     def values(key):
         # T follows So in every row list, and is read off the census just computed.
+        nonlocal last
         pairs, parts = _key_parts(key, part)
         got = []
         for value in rows:
-            got.append(t_from_so(got[-1], base.n_free) if value is None
-                       else value(base, k, parts, pairs))
+            if value is None:
+                so, t = last
+                if so != got[-1]:
+                    last = so, t = got[-1], t_from_so(got[-1], base.n_free)
+            got.append(t if value is None else value(base, k, parts, pairs))
         return tuple(got)
 
     return names, values

@@ -131,9 +131,10 @@ def _triple(kind, packed, codes, starts, names, ranks):
     relabel = {ord(ch): rank for rank, ch in enumerate(order, 1)}
     child = (chr(len(codes)) + moved.translate(relabel)
              + "".join([codes[ord(ch) - 1] for ch in order]))
+    if names is None:
+        return child
     flat = [p for i in starts for p in (i - packed.count("\0", 0, i),) for p in (p, p + 1)]
-    return child if names is None else (
-        MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks])), child)
+    return MoveSite(kind, tuple(flat), tuple([names[r] for r in ranks])), child
 
 
 @lru_cache(maxsize=32)
@@ -184,8 +185,10 @@ def _expand(key, moves, max_letters, kinds=ALL_KINDS):
 
 
 def _children(key, moves, max_letters):
-    """_expand(key, moves, max_letters)'s child keys alone, as lazily, with no MoveSite built."""
+    """_expand(key, moves, max_letters)'s child keys, no MoveSite built, lazy below the budget."""
     matched, _none, q_codes, r_codes = _sites(key, None, moves, ALL_KINDS, max_letters)
+    if not (q_codes or r_codes):  # no insertion fits: the matched children, as one list
+        return matched
     return chain(matched, chain.from_iterable(_child_batches(key, q_codes, r_codes)))
 
 

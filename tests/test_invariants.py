@@ -709,6 +709,12 @@ def test_invariant_lines_without_guarantees_or_on_other_alphabets(curves, diagon
     with pytest.raises(AlphabetMismatch):
         invariant_lines(ph(curves.base_alphabet, "AA", {"A": "a"}), curves.lifted_moves,
                         curves.lifted)
+    # A word-level system over another lifted alphabet fails as the phrase level does.
+    two, three = builtin_data("curves", 2), builtin_data("curves", 3)
+    word = phi(ph(two.base_alphabet, "AB|AB", {"A": "a", "B": "a"}), two.lifted)
+    assert lifted_invariants_applicable(three.lifted_moves, two.lifted) == ()
+    with pytest.raises(AlphabetMismatch):
+        invariant_lines(word, three.lifted_moves, two.lifted)
 
 
 # The key reader against the phrase path: raw values against the public
@@ -851,9 +857,31 @@ def _flush_row_memos():
         _pi_element(junk, (i,))
 
 
+def test_key_reader_builds_t_once_per_change_of_so(monkeypatch):
+    # One reader, kept warm, on keys of two classes whose So (and T)
+    # differ, read A, B, A, B, A and then on another key of A's class: each
+    # tuple is a fresh reader's, and T is built only where So changes.
+    data = builtin_data("curves", 2)
+    alphabet, moves = data.base_alphabet, data.base_moves
+    a, b = (canonical_form(ph(alphabet, spec, {"A": "a", "B": "a"})).key
+            for spec in ("A|BAB", "BAB|A"))
+    a2 = next(child for _site, child in _expand(a, moves, ord(a[0]) + 2) if child != a)
+    names = key_reader(alphabet, 2, moves)[0]
+    expected = {key: key_reader(alphabet, 2, moves)[1](key) for key in (a, b, a2)}
+    so, t = names.index("So"), names.index("T")
+    assert expected[a2][so] == expected[a][so] != expected[b][so]
+    assert expected[a][t] != expected[b][t]
+    built = _counting(monkeypatch, "t_from_so")
+    _names, values = key_reader(alphabet, 2, moves)
+    order = [a, b, a, b, a, a2, a]
+    assert [values(key) for key in order] == [expected[key] for key in order]
+    assert len(built) == 5
+
+
 def test_row_values_do_not_depend_on_their_memos():
     # key_reader values, so_phrase and lk_phrase on fresh phrases, read
-    # with cold memos, with warm ones, and after every entry was evicted.
+    # with cold memos, with warm ones, and after every entry was evicted;
+    # values also from readers kept warm across those reads.
     cases = []
     for name, k in (("curves", 2), ("links", 3), ("diagonal", 2)):
         data = builtin_data(name, k)
@@ -865,10 +893,12 @@ def test_row_values_do_not_depend_on_their_memos():
     cases.append((alphabet, 2, moves, [canonical_form(_random_phrase(rng, alphabet, 12, 2)).key
                                        for _ in range(6)]))
 
-    def read():
+    readers = [key_reader(alphabet, k, moves)[1] for alphabet, k, moves, _keys in cases]
+
+    def read(warm=False):
         got = []
-        for alphabet, k, moves, keys in cases:
-            _names, values = key_reader(alphabet, k, moves)
+        for (alphabet, k, moves, keys), reader in zip(cases, readers):
+            values = reader if warm else key_reader(alphabet, k, moves)[1]
             for key in keys:
                 phrase = CanonicalForm.from_key(key).to_phrase(alphabet)
                 got.append((values(key), so_phrase(phrase, moves), lk_phrase(phrase, moves)))
@@ -879,8 +909,10 @@ def test_row_values_do_not_depend_on_their_memos():
     cold = read()
     assert _vector.cache_info().currsize and _pi_element.cache_info().currsize
     assert read() == cold
+    assert read(warm=True) == cold
     _flush_row_memos()
     assert read() == cold
+    assert read(warm=True) == cold
     # Warm, equal row values are one object.
     shared = read()
     assert all(a is b for (_v, so_a, _l), (_w, so_b, _m) in zip(shared, read())

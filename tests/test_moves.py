@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -804,6 +805,37 @@ def test_children_and_step_sites_match_the_expansion(name, sizes):
         nested = canonical_form(ph(alpha, "ABCCBA", {"A": "a", "B": "b", "C": "a"})).key
         assert _step_site(nested, canonical_form(ph(alpha, "AA", {"A": "a"})).key, moves) \
             == MoveSite("M2", (1, 2, 3, 4), ("B", "C"))
+
+
+@pytest.mark.parametrize("name,sizes", [
+    ("curves", [(1, 1), (1, 2), (2, 2), (1, 3, 10)]),
+    ("links", [(1, 1), (2, 1), (2, 2, 10)]),
+    ("diagonal", [(1, 2), (2, 2), (1, 3, 10)]),
+    ("ornaments", [(1, 1), (1, 2, 15)]),
+])
+def test_children_at_the_budget_build_no_insertion_batch(monkeypatch, name, sizes):
+    # At max_letters == n no insertion fits: _children is _expand's
+    # children, the matched ones as one list, and no _child_batches call is
+    # made.  With slack left the batches are built, each as it is reached.
+    moves, keys = _step_inputs(name, sizes)
+    real, calls, built = nanowords.kernel._child_batches, [], []
+
+    def counted(*args):
+        calls.append(args)
+        return (built.append(1) or batch for batch in real(*args))
+
+    expected = {key: [[child for _site, child in _expand(key, moves, ord(key[0]) + slack)]
+                      for slack in (0, 2)] for key in keys}
+    monkeypatch.setattr(nanowords.kernel, "_child_batches", counted)
+    for key, (at_budget, every) in expected.items():
+        n, matched = ord(key[0]), len(at_budget)
+        calls.clear()
+        built.clear()
+        assert _children(key, moves, n) == at_budget and not calls, key
+        lazy = _children(key, moves, n + 2)
+        assert list(islice(lazy, matched)) == at_budget and not built, key
+        assert next(lazy) == every[matched] and len(built) == 1, key
+        assert list(lazy) == every[matched + 1:] and len(calls) == 1, key
 
 
 @pytest.mark.slow
