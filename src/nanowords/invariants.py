@@ -15,14 +15,16 @@ alike at the phrase level and at the word level (no T row).  A word over
 a lifted alphabet reads each letter's component pair off its subscripts,
 and its rows agree with the phrase rows on flattened phrases.  One
 engine computes every value from each letter's (symbol, i, j) record and
-the interleaved letter pairs: the census makes one dense profile pass over
-the pairs for its single-component letters, buckets them by (orbit,
-profile) and builds a vector only for each bucket that survives.  Equal
-vectors and equal lk group elements are one object, from small bounded
-memos.  Three adapters feed it: a phrase's letters and a lifted word's
-subscripts (the public per-row functions lk_phrase ... so_lifted), and
-a canonical key's ranks and codes (key_reader, which builds no phrase;
-invariant_lines is key_reader on a word's key).
+the interleaved letter pairs: only the census makes a dense profile pass,
+over the pairs for its single-component letters; it buckets them by
+(orbit, profile) and builds a vector only for each bucket that survives.
+Every letter's profile (_profile_vectors) is the per-letter sum of
+sigma_table's entries.  Equal vectors and equal lk group elements are one
+object, from small bounded memos.  Three adapters feed it: a phrase's
+letters and a lifted word's subscripts (the public per-row functions
+lk_phrase ... so_lifted), and a canonical key's ranks and codes
+(key_reader, which builds no phrase; invariant_lines is key_reader on a
+word's key).
 """
 
 from __future__ import annotations
@@ -133,9 +135,6 @@ class SigmaVector:
     __str__ = render
 
 
-_ZERO = SigmaVector((), None)
-
-
 @dataclass(frozen=True)
 class SoValue:
     """Per component, a finite map from nonzero profile vectors to counts.
@@ -177,6 +176,10 @@ def sigma_table(phrase, moves):
     its negative otherwise (collapsed into Z/2 for mixed orbits).
     """
     _require_graph_tau(moves, phrase)
+    return _sigma_entries(phrase)
+
+
+def _sigma_entries(phrase):
     alphabet = phrase.alphabet
     table = {}
     for x in phrase.letters:
@@ -276,19 +279,18 @@ def _key_parts(key, part):
     return pairs, list(zip(symbols, firsts, seconds) if part is None else map(part, symbols))
 
 
-def _profile_pass(alphabet, k, pairs, parts, every):
-    """Per letter, its raw dense profile, or None for a letter not counted.
+def _profile_pass(alphabet, k, pairs, parts):
+    """Per letter, its raw dense profile if it is a single-component letter, else None.
 
-    Every entry (j, p, q) of a letter's profile has the letter's own orbit
-    as p, so the profile is p and k * len(orbits) integers, entry (j, p, q)
-    at (j - 1) * len(orbits) + q - 1.  The pass counts every letter when
-    `every` is set and the single-component ones otherwise.  A pair a < b
-    (_interleaved_pairs) adds epsilon(|b|) at b's second slot to a's
-    profile and -epsilon(|a|) at a's first slot to b's: the entries that
-    `sigma_table` lists for (a, b) and (b, a).
+    These are the letters So counts.  Every entry (j, p, q) of a letter's
+    profile has the letter's own orbit as p, so the profile is p and
+    k * len(orbits) integers, entry (j, p, q) at (j - 1) * len(orbits) +
+    q - 1.  A pair a < b (_interleaved_pairs) adds epsilon(|b|) at b's
+    second slot to a's profile and -epsilon(|a|) at a's first slot to b's:
+    the entries that `sigma_table` lists for (a, b) and (b, a).
     """
     orbit, eps, width = alphabet._orbit_index, alphabet._epsilon, len(alphabet.orbits)
-    rows = [[0] * (k * width) if every or i == j else None for _s, i, j in parts]
+    rows = [[0] * (k * width) if i == j else None for _s, i, j in parts]
     pair = iter(pairs)
     for a, b in zip(pair, pair):
         row = rows[a]
@@ -315,24 +317,12 @@ def _reduced(alphabet, p, row):
 
 @lru_cache(maxsize=256)
 def _vector(n_free, width, p, row):
-    # The SigmaVector of a reduced dense row; index order is entry order.
-    # Equal rows share one vector.  Few rows recur: classify --builtin
-    # curves --n 4 --max-states 2000000 builds 6 vectors for 435,600
-    # surviving buckets, and one pass of the seed-1 census benchmark 94.
-    entries = tuple(((i // width + 1, p, i % width + 1), c) for i, c in enumerate(row) if c)
-    return SigmaVector(entries, "ii" if p > n_free else "i") if entries else _ZERO
-
-
-def _profile_table(alphabet, letters, pairs, parts):
-    """letter -> SigmaVector, from the interleaved letter pairs (_interleaved_pairs)."""
-    orbit, n_free, width = alphabet._orbit_index, alphabet.n_free, len(alphabet.orbits)
-    k = max((j for _s, _i, j in parts), default=1)
-    table = {}
-    for ltr, row, (s, _i, _j) in zip(letters, _profile_pass(alphabet, k, pairs, parts, True),
-                                     parts):
-        p = orbit[s]
-        table[ltr] = _vector(n_free, width, p, _reduced(alphabet, p, row))
-    return table
+    # The SigmaVector of a reduced dense row, from SigmaVector.build; equal
+    # rows share one vector.  Builds are memo misses, and few rows recur:
+    # classify --builtin curves --n 4 --max-states 2000000 builds 6
+    # vectors for 435,600 surviving buckets, one census benchmark pass 94.
+    return SigmaVector.build(n_free, {(i // width + 1, p, i % width + 1): c
+                                      for i, c in enumerate(row) if c})
 
 
 def _word_pairs(word):
@@ -340,9 +330,11 @@ def _word_pairs(word):
 
 
 def _profile_vectors(phrase):
-    """letter -> SigmaVector summing its signed interleavings with all others."""
-    return _profile_table(phrase.alphabet, phrase.letters, _word_pairs(phrase),
-                          _phrase_parts(phrase))
+    """letter -> SigmaVector summing its sigma_table entries (its signed interleavings)."""
+    raws = {ltr: {} for ltr in phrase.letters}
+    for (x, _y, j), (p, q, coeff) in _sigma_entries(phrase).items():
+        raws[x][j, p, q] = raws[x].get((j, p, q), 0) + coeff
+    return {ltr: SigmaVector.build(phrase.alphabet.n_free, raw) for ltr, raw in raws.items()}
 
 
 def _census(alphabet, k, parts, pairs):
@@ -351,11 +343,14 @@ def _census(alphabet, k, parts, pairs):
     Letters are bucketed by their reduced dense profile (p, row); a
     vector is built only for each bucket whose count survives.  No
     profile is of type (iii) (see t_from_so), so every nonzero one counts.
+    With one fixed symbol (diagonal, k = 1) a letter's row is its
+    interleaving degree mod 2; the odd-degree letters are even in number,
+    so their one bucket counts 0 mod 2 and So is constant there.
     """
     orbit, eps, n_free, width = (alphabet._orbit_index, alphabet._epsilon, alphabet.n_free,
                                  len(alphabet.orbits))
     buckets = [{} for _ in range(k)]
-    for row, (s, i, _j) in zip(_profile_pass(alphabet, k, pairs, parts, False), parts):
+    for row, (s, i, _j) in zip(_profile_pass(alphabet, k, pairs, parts), parts):
         if row is not None and any(row):
             p = orbit[s]
             bucket, key = buckets[i - 1], (p, _reduced(alphabet, p, row))
@@ -393,7 +388,7 @@ def _collapse(n_free, weighted):
     for vec, weight in weighted:
         for (_j, p, q), coeff in vec.entries:
             raw[1, p, q] = raw.get((1, p, q), 0) + weight * coeff
-    return SigmaVector.build(n_free, raw) if raw else _ZERO
+    return SigmaVector.build(n_free, raw)
 
 
 def t_invariant(phrase, moves):

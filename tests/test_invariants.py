@@ -46,10 +46,12 @@ from nanowords.invariants import (
     _collapse,
     _interleaving,
     _lifted_parts,
+    _phrase_parts,
     _pi_element,
-    _profile_table,
+    _profile_pass,
     _profile_vectors,
     _rank_pattern,
+    _reduced,
     _vector,
     _word_pairs,
     invariant_lines,
@@ -474,15 +476,41 @@ def test_recovery_from_census_small(curves, diagonal):
         assert checked > 0
 
 
-# Pair-by-pair and product-loop references for the shared profile kernel.
+def test_so_is_constant_on_diagonal_at_one_component(diagonal):
+    # One fixed symbol: a letter's row is its interleaving degree mod 2, and
+    # the odd-degree letters are even in number (see _census).
+    alpha, moves = diagonal.base_alphabet, diagonal.base_moves
+    checked = 0
+    for n in range(6):
+        for p in enumerate_nanophrases(alpha, n, 1):
+            assert so_phrase(p, moves).maps == ((),)
+            assert all(block.is_zero for block in t_invariant(p, moves))
+            checked += 1
+    assert checked == 1070
+    # At k = 2 it is not: in A|BAB, B interleaves the cross-component A, whose
+    # first occurrence, in component 1, sets B's one entry.
+    two = builtin_data("diagonal", 2)
+    p = ph(two.base_alphabet, "A|BAB", {"A": "a", "B": "a"})
+    assert so_phrase(p, two.base_moves).maps == (
+        (), ((SigmaVector.build(0, {(1, 1, 1): 1}), 1),))
 
-def _sigma_sum_profiles(phrase, moves):
-    """Per-letter sums of sigma_table: the reference for phrase profiles."""
-    raws = {ltr: {} for ltr in phrase.letters}
-    for (x, _y, j), (p, q, coeff) in sigma_table(phrase, moves).items():
-        raws[x][(j, p, q)] = raws[x].get((j, p, q), 0) + coeff
-    return {ltr: SigmaVector.build(phrase.alphabet.n_free, raw)
-            for ltr, raw in raws.items()}
+
+# Pair-by-pair and product-loop references for the shared profile kernel:
+# at the phrase level _profile_vectors (per-letter sums of sigma_table).
+
+def _assert_pass_rows(alphabet, k, letters, pairs, parts, reference):
+    """The census's dense rows, as vectors, against reference profiles.
+
+    The pass builds a row for each single-component letter and None for
+    every other letter.
+    """
+    orbit, width = alphabet._orbit_index, len(alphabet.orbits)
+    for ltr, row, (s, i, j) in zip(letters, _profile_pass(alphabet, k, pairs, parts), parts):
+        assert (row is None) == (i != j)
+        if row is not None:
+            p = orbit[s]
+            vec = _vector(alphabet.n_free, width, p, _reduced(alphabet, p, row))
+            assert (vec, vec.type_class) == (reference[ltr], reference[ltr].type_class)
 
 
 def _reference_lifted_profiles(word, lifted):
@@ -548,9 +576,9 @@ def _reference_so_t(alphabet, k, slots, profiles):
 
 
 def _check_phrase(phrase, moves):
-    profiles = _profile_vectors(phrase)
-    reference = _sigma_sum_profiles(phrase, moves)
-    assert profiles == reference
+    reference = _profile_vectors(phrase)
+    _assert_pass_rows(phrase.alphabet, phrase.k, phrase.letters, _word_pairs(phrase),
+                      _phrase_parts(phrase), reference)
     slots = {ltr: (phrase.proj[ltr],) + phrase.component_pair(ltr) for ltr in phrase.letters}
     assert (lk_phrase(phrase, moves), clv_phrase(phrase, moves)) == \
         _reference_lk_clv(phrase.alphabet, phrase.k, slots.values())
@@ -559,10 +587,9 @@ def _check_phrase(phrase, moves):
 
 
 def _check_lifted(word, lifted):
-    profiles = _profile_table(lifted.base, word.letters, _word_pairs(word),
-                              _lifted_parts(word, lifted))
     reference = _reference_lifted_profiles(word, lifted)
-    assert profiles == reference
+    _assert_pass_rows(lifted.base, lifted.k, word.letters, _word_pairs(word),
+                      _lifted_parts(word, lifted), reference)
     slots = {ltr: lifted.part(word.proj[ltr]) for ltr in word.letters}
     assert (lk_lifted(word, lifted), clv_lifted(word, lifted)) == \
         _reference_lk_clv(lifted.base, lifted.k, slots.values())

@@ -37,7 +37,7 @@ from nanowords.kernel import _children, _step_site
 from nanowords.core import rank_letters
 from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
-    _expand
+    _budget_cut, _expand
 from conftest import grown_forms, ph
 
 
@@ -836,6 +836,31 @@ def test_children_at_the_budget_build_no_insertion_batch(monkeypatch, name, size
         assert list(islice(lazy, matched)) == at_budget and not built, key
         assert next(lazy) == every[matched] and len(built) == 1, key
         assert list(lazy) == every[matched + 1:] and len(calls) == 1, key
+
+
+def test_budget_cut_and_the_site_finder_share_one_room_rule():
+    # moves._budget_cut and kernel._sites each write "M1ins needs one
+    # letter of room, M2ins two": the cut holds exactly when the budget
+    # drops an insertion kind that two letters of room would yield.
+    curves = builtin_data("curves")
+    alpha, s = curves.base_alphabet, curves.base_moves.s
+    systems = [builtin_data(name).base_moves for name in ("curves", "links", "diagonal")]
+    systems += [MoveSystem(alpha, q=(), r=alpha.tau_graph, s=s),
+                MoveSystem(alpha, q=alpha.symbols, r=(), s=s),
+                MoveSystem(alpha, q=(), r=(), s=s)]
+    cases = 0
+    for moves in systems:
+        for n in range(3):
+            for p in enumerate_nanophrases(moves.alphabet, n, 1):
+                key = canonical_form(p).key
+                room = {site.kind for site in find_move_sites(p, moves, INSERTION_KINDS, n + 2)}
+                for max_letters in range(n, n + 3):
+                    kinds = {site.kind for site in
+                             find_move_sites(p, moves, INSERTION_KINDS, max_letters)}
+                    assert _budget_cut(key, moves, max_letters) == (kinds != room), \
+                        (moves, key, max_letters)
+                    cases += 1
+    assert cases == 354
 
 
 @pytest.mark.slow
