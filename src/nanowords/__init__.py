@@ -13,7 +13,6 @@ from .core import (
     are_isomorphic,
     canonical_form,
     enumerate_nanophrases,
-    validate_nanophrase,
 )
 from .invariants import (
     NonGraphR,

@@ -8,12 +8,9 @@ M3/M3inv, each gated by the same Q/R/S member), so one seed's closure is
 its whole class.  A state at the letter budget, where no insertion fits,
 gets its matched children as one list (kernel._children).  Each class is
 labelled with its guaranteed invariants, which must agree along every
-move: every state's raw values are read off its key (invariants.key_reader,
-which reads each rank pattern's slots and interleaved pairs through a
-bounded memo, makes one dense profile pass for So, shares equal row values
-and builds T once per distinct So, at most once per closure) and compared
-with its seed's.  Only the returned classes are rendered, and each form is
-serialized once, for both orders.
+move: every state's raw values are read off its key (see
+invariants.key_reader) and compared with its seed's.  Only the returned
+classes are rendered, and each form is serialized once, for both orders.
 """
 
 from __future__ import annotations
@@ -25,9 +22,8 @@ from operator import itemgetter
 
 from .core import Alphabet, CanonicalForm, ConsistencyError, MoveSystem, _enumerate_keys
 from .invariants import key_reader, render_rows
-from .kernel import _children
+from .kernel import _budget_cut, _children
 from .lift import LiftedAlphabet
-from .moves import _budget_cut
 
 _form = CanonicalForm.from_key  # closures hold keys; forms leave them
 

@@ -385,11 +385,6 @@ def canonical_form(phrase):
     return CanonicalForm.from_key(chr(len(phrase.letters)) + packed + codes)
 
 
-def validate_nanophrase(alphabet, components, proj):
-    """Build a nanophrase, reporting every violating letter on failure."""
-    return Nanophrase(alphabet, components, proj, validate=True)
-
-
 def are_isomorphic(phrase1, phrase2):
     if phrase1.alphabet != phrase2.alphabet:
         raise AlphabetMismatch("phrases live over different alphabets")

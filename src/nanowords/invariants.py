@@ -384,11 +384,16 @@ def so_phrase(phrase, moves):
 
 def _collapse(n_free, weighted):
     """One T block: the sum of weight * vector over (vector, weight), slots collapsed."""
+    if not weighted:
+        return _EMPTY_BLOCK
     raw = {}
     for vec, weight in weighted:
         for (_j, p, q), coeff in vec.entries:
             raw[1, p, q] = raw.get((1, p, q), 0) + weight * coeff
     return SigmaVector.build(n_free, raw)
+
+
+_EMPTY_BLOCK = SigmaVector.build(0, {})  # an empty map's block, zero for every n_free
 
 
 def t_invariant(phrase, moves):
@@ -540,8 +545,10 @@ def key_reader(alphabet, k, moves, lifted=None):
     The keys are of phrases over `alphabet` with k components, or of
     words over `lifted`.  values(key) is the tuple of raw row values, and
     render_rows(names, values(key)) is invariant_lines on the key's
-    phrase; no phrase is built.  T is built once per distinct So in a row:
-    the reader keeps the last (So, T) pair, read and replaced whole.
+    phrase; no phrase is built.  Slots and pairs come from the rank-pattern
+    memo (_key_parts), So from one dense profile pass (_census), and T is
+    built once per distinct So in a row: the reader keeps the last (So, T)
+    pair, read and replaced whole.
     """
     if alphabet != moves.alphabet or lifted is not None and lifted.alphabet != alphabet:
         raise AlphabetMismatch("move system and keys use different alphabets")

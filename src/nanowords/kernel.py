@@ -1,10 +1,10 @@
 """Move sites and child keys read off canonical-form keys.
 
-The one site finder, for every input: a phrase is read off its key.  A
-key (see core.CanonicalForm) is read as packed ranks and symbol codes,
-and each site and child key is a few string operations on it, without
-a Nanophrase.  moves.apply_move followed by core.canonical_form is the
-reference that every child must match.
+The one site finder: find_move_sites reads a phrase off its key, and the
+search reads keys.  A key (see core.CanonicalForm) is read as packed
+ranks and symbol codes, and each site and child key is a few string
+operations on it, without a Nanophrase.  moves.apply_move followed by
+core.canonical_form is the reference that every child must match.
 """
 
 from __future__ import annotations
@@ -96,9 +96,7 @@ def _sites(key, names, moves, kinds, max_letters):
                                          names, (b, a, c)))
         matched = m1 + m2 + m3 + m3inv
 
-    fits = max_letters is not None
-    q = moves.q if fits and "M1ins" in kinds and n + 1 <= max_letters else _NO_SYMBOLS
-    r = moves.r if fits and "M2ins" in kinds and n + 2 <= max_letters else _NO_SYMBOLS
+    q, r = _fitting(n, moves, max_letters, kinds)
     inserted = ()
     if (q or r) and names is not None:
         lengths = tuple(map(len, packed.split("\0")))
@@ -109,6 +107,20 @@ def _sites(key, names, moves, kinds, max_letters):
 
 _MATCH_SET = frozenset(MATCH_KINDS)
 _NO_SYMBOLS = frozenset()
+
+
+def _fitting(n, moves, max_letters, kinds=INSERTION_KINDS):
+    # The Q and R members whose insertions of the kinds asked for fit beside
+    # n letters: M1ins needs one letter of room, M2ins two, and None none.
+    room = -1 if max_letters is None else max_letters - n
+    return (moves.q if room >= 1 and "M1ins" in kinds else _NO_SYMBOLS,
+            moves.r if room >= 2 and "M2ins" in kinds else _NO_SYMBOLS)
+
+
+def _budget_cut(key, moves, max_letters):
+    # Whether the letter budget cuts an admissible insertion at the key's
+    # form: every form has a gap, so each Q and R member gives one.
+    return _fitting(ord(key[0]), moves, max_letters) != (moves.q, moves.r)
 
 
 def _deleted(n, packed, codes, a, b):
@@ -168,16 +180,16 @@ _shared_insertion_sites = lru_cache(maxsize=32)(_insertion_sites)
 
 
 def _expand(key, moves, max_letters, kinds=ALL_KINDS):
-    """The (site, child key) pairs of find_move_sites(key, moves, kinds, max_letters).
+    """The (site, child key) pairs of find_move_sites(phrase, moves, kinds, max_letters).
 
-    The children are the keys of canonical_form(apply_move(phrase, site))
-    on the key's form.to_phrase(...), built on the key without a
-    Nanophrase, in site order: every matched site's with its site, then
-    the insertion children in batches, the M1ins children of each
-    insertion rank and then the M2ins children of each first gap.  A
+    phrase is the key's form.to_phrase(moves.alphabet), and the children
+    are the keys of canonical_form(apply_move(phrase, site)), built on the
+    key without a Nanophrase, in site order: every matched site's with its
+    site, then the insertion children in batches, the M1ins children of
+    each insertion rank and then the M2ins children of each first gap.  A
     batch is built when its first child is read, so a caller that stops
-    early builds no later one; the iterator keeps nothing once
-    exhausted.  _children yields the same keys without the sites.
+    early builds no later one; the iterator keeps nothing once exhausted.
+    _children yields the same keys without the sites.
     """
     matched, inserted, q_codes, r_codes = _sites(key, rank_letters(ord(key[0])), moves, kinds,
                                                  max_letters)

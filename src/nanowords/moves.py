@@ -25,7 +25,7 @@ from .core import (
     rank_letters,
 )
 from .invariants import invariant_lines
-from .kernel import ALL_KINDS, MoveSite, _children, _expand, _sites, _step_site
+from .kernel import ALL_KINDS, MoveSite, _budget_cut, _children, _expand, _sites, _step_site
 
 
 class StaleSite(NanowordError):
@@ -40,13 +40,11 @@ UNKNOWN = "unknown"
 def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     """All admissible sites of the requested kinds (None: every kind), in a fixed order.
 
-    phrase is a Nanophrase, a CanonicalForm or a form's key, each read off
-    a key by kernel._sites.  A phrase is read off its canonical form's
-    key, which keeps its positions and component boundaries and whose
-    rank r letter is phrase.letters[r - 1], so its sites name its own
-    letters.  A form carries no alphabet and is read over moves.alphabet
-    as form.to_phrase would build it, so its sites name letters by
-    rank_letters and replay on that phrase.
+    phrase is a Nanophrase, read off its canonical form's key by
+    kernel._sites: the key keeps its positions and component boundaries,
+    and its rank r letter is phrase.letters[r - 1], so the sites name the
+    phrase's own letters.  A form's sites are those of
+    form.to_phrase(moves.alphabet), whose letters are rank_letters.
 
     Sites come out grouped by kind in ALL_KINDS order; within a kind they
     ascend by positions, then gaps, then symbols.
@@ -54,18 +52,13 @@ def find_move_sites(phrase, moves, kinds=None, max_letters=None):
     Insertion kinds are enumerated only when max_letters leaves room for
     the new letters.  A kind not in ALL_KINDS raises NanowordError.
     """
-    if isinstance(phrase, CanonicalForm):
-        phrase = phrase.key
-    if isinstance(phrase, str):
-        key, names = phrase, rank_letters(ord(phrase[0]))
-    elif moves.alphabet != phrase.alphabet:
+    if moves.alphabet != phrase.alphabet:
         raise AlphabetMismatch("move system and phrase use different alphabets")
-    else:
-        key, names = canonical_form(phrase).key, phrase.letters
     wanted = set(ALL_KINDS if kinds is None else kinds)
     if not wanted.issubset(ALL_KINDS):
         raise NanowordError(f"unknown move kinds {sorted(wanted.difference(ALL_KINDS))}")
-    matched, inserted, _q, _r = _sites(key, names, moves, wanted, max_letters)
+    matched, inserted, _q, _r = _sites(canonical_form(phrase).key, phrase.letters, moves, wanted,
+                                       max_letters)
     return [site for site, _child in matched] + list(inserted)
 
 
@@ -236,14 +229,6 @@ class NeighborCache:
         if max_letters < ord(key[0]):
             raise ValueError("max_letters must cover the form")
         return self.raw(key, min(2, max_letters - ord(key[0])))
-
-
-def _budget_cut(key, moves, max_letters):
-    # True when the letter budget suppresses an admissible insertion at
-    # the key's form: every form has a gap, so M1ins needs only a Q member
-    # and one letter of slack, M2ins an R member and two.
-    slack = max_letters - ord(key[0])
-    return (bool(moves.q) and slack < 1) or (bool(moves.r) and slack < 2)
 
 
 def equivalent(phrase1, phrase2, moves, max_letters, max_states,

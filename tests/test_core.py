@@ -28,7 +28,6 @@ from nanowords import (
     find_move_sites,
     so_phrase,
     t_invariant,
-    validate_nanophrase,
 )
 import nanowords
 from nanowords.core import _double_occurrence_patterns, _enumerate_keys
@@ -113,32 +112,30 @@ def _matchings(symbols):
 
 class TestValidate:
     def test_valid_two_component(self, ab_alphabet):
-        p = validate_nanophrase(ab_alphabet, [("A", "B"), ("B", "A")],
-                                {"A": "a", "B": "b"})
+        p = Nanophrase(ab_alphabet, [("A", "B"), ("B", "A")], {"A": "a", "B": "b"})
         assert p.k == 2 and p.n_letters == 2
 
     def test_letter_count_violations_all_reported(self, ab_alphabet):
         with pytest.raises(LetterCountError) as err:
-            validate_nanophrase(ab_alphabet, [("A", "B", "A", "A")],
-                                {"A": "a", "B": "a"})
+            Nanophrase(ab_alphabet, [("A", "B", "A", "A")], {"A": "a", "B": "a"})
         assert err.value.counts == {"A": 3, "B": 1}
 
     def test_single_violation(self, ab_alphabet):
         with pytest.raises(LetterCountError) as err:
-            validate_nanophrase(ab_alphabet, [("A", "B", "A")], {"A": "a", "B": "a"})
+            Nanophrase(ab_alphabet, [("A", "B", "A")], {"A": "a", "B": "a"})
         assert err.value.counts == {"B": 1}
 
     def test_empty_components_are_valid(self, ab_alphabet):
-        p = validate_nanophrase(ab_alphabet, [(), ()], {})
+        p = Nanophrase(ab_alphabet, [(), ()], {})
         assert p.k == 2 and p.n_letters == 0
 
     def test_unknown_projection_target(self, ab_alphabet):
         with pytest.raises(UnknownSymbol):
-            validate_nanophrase(ab_alphabet, [("A", "A")], {"A": "z"})
+            Nanophrase(ab_alphabet, [("A", "A")], {"A": "z"})
 
     def test_missing_projection(self, ab_alphabet):
         with pytest.raises(UnknownSymbol):
-            validate_nanophrase(ab_alphabet, [("A", "A")], {})
+            Nanophrase(ab_alphabet, [("A", "A")], {})
 
 
 class TestCanonicalForm:
@@ -234,10 +231,10 @@ class TestCanonicalFormContract:
                                    {"A": "a", "B": "a", "C": "a", "D": "a", "E": "b"}))
         children = tuple((site, CanonicalForm.from_key(child)) for site, child in _expand(
             parent.key, moves, parent.n_letters + 2))
-        assert [site for site, _child in children] == \
-            find_move_sites(parent, moves, ALL_KINDS, parent.n_letters + 2)
-        assert {site.kind for site, _child in children} == set(ALL_KINDS) - {"M3inv"}
         phrase = parent.to_phrase(curves.base_alphabet)
+        assert [site for site, _child in children] == \
+            find_move_sites(phrase, moves, ALL_KINDS, parent.n_letters + 2)
+        assert {site.kind for site, _child in children} == set(ALL_KINDS) - {"M3inv"}
         for site, child in children:
             reference = canonical_form(apply_move(phrase, site))
             rebuilt = CanonicalForm(child.pattern, child.proj_seq)
@@ -250,10 +247,10 @@ class TestCanonicalFormContract:
         # past 255.
         moves = curves.base_moves
         parent = CanonicalForm((_LONG + _LONG[::-1],), ("a", "b") * 150)
-        sites = find_move_sites(parent, moves, ("M1ins",), 301)[:4]
         phrase = parent.to_phrase(curves.base_alphabet)
-        matched = find_move_sites(parent, moves)
-        assert matched == find_move_sites(phrase, moves)
+        sites = find_move_sites(phrase, moves, ("M1ins",), 301)[:4]
+        matched = find_move_sites(phrase, moves)
+        assert matched == [site for site, _child in _expand(parent.key, moves, None)]
         assert matched[0].letters == ("L300",)
         kernel = _expand(parent.key, moves, 301, ("M1ins",))
         for site, (kernel_site, child) in zip(sites, kernel):

@@ -191,6 +191,17 @@ class TestTInvariant:
         p = ph(curves.base_alphabet, "|", {})
         assert all(b.is_zero for b in t_invariant(p, curves.base_moves))
 
+    def test_empty_blocks_share_one_built_vector(self):
+        # Every empty census block is the one zero vector built at import,
+        # equal to what SigmaVector.build makes of no entries.
+        shared = t_from_so(SoValue(((),)), 0)[0]
+        for k in range(1, 4):
+            for n_free in range(3):
+                blocks = t_from_so(SoValue(((),) * k), n_free)
+                assert len(blocks) == k and all(b is shared for b in blocks)
+                built = SigmaVector.build(n_free, {})
+                assert shared == built and shared.type_class is built.type_class is None
+
     def test_nonzero_example(self):
         # Interleaved letters in different orbits leave an asymmetric trace.
         alpha = Alphabet(("a", "b"))

@@ -33,11 +33,11 @@ from nanowords import (
 )
 import nanowords.kernel
 import nanowords.moves
-from nanowords.kernel import _children, _step_site
+from nanowords.kernel import _budget_cut, _children, _step_site
 from nanowords.core import rank_letters
 from nanowords.invariants import invariant_lines
 from nanowords.moves import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, PathStep, _assemble_path, \
-    _budget_cut, _expand
+    _expand
 from conftest import grown_forms, ph
 
 
@@ -427,15 +427,13 @@ def test_neighbor_cache_rejects_a_budget_below_the_form(curves):
 
 
 def _assert_form_sites_match(moves, form, max_letters):
-    # Same sites, in the same order and with the same letter names, as on
-    # the phrase the form stands for.
+    # The sites of the phrase the form stands for are those the kernel
+    # reads off the form's key: same order, same letter names.
     phrase = form.to_phrase(moves.alphabet)
-    assert find_move_sites(form, moves, ALL_KINDS, max_letters) == \
-        find_move_sites(phrase, moves, ALL_KINDS, max_letters), form
-    assert find_move_sites(form, moves) == find_move_sites(phrase, moves), form
-    assert find_move_sites(form.key, moves, ALL_KINDS, max_letters) == \
-        find_move_sites(form, moves, ALL_KINDS, max_letters), form
-    assert find_move_sites(form.key, moves) == find_move_sites(form, moves), form
+    assert find_move_sites(phrase, moves, ALL_KINDS, max_letters) == \
+        [site for site, _child in _expand(form.key, moves, max_letters)], form
+    assert find_move_sites(phrase, moves) == \
+        [site for site, _child in _expand(form.key, moves, None)], form
 
 
 @pytest.mark.parametrize("name,k", [
@@ -519,12 +517,11 @@ def _reference_matched_sites(phrase, moves):
 
 
 def _assert_matched_sites_match_reference(moves, phrase, counts):
-    # On the phrase and on its canonical form (read as form.to_phrase
-    # builds it), for the matched kinds alone and with the insertions of
-    # a budget of n + 2 letters.
-    form = canonical_form(phrase)
-    for word, named in ((phrase, phrase), (form, form.to_phrase(moves.alphabet))):
-        expected = _reference_matched_sites(named, moves)
+    # On the phrase and on the one its canonical form stands for
+    # (form.to_phrase), for the matched kinds alone and with the
+    # insertions of a budget of n + 2 letters.
+    for word in (phrase, canonical_form(phrase).to_phrase(moves.alphabet)):
+        expected = _reference_matched_sites(word, moves)
         assert find_move_sites(word, moves, MATCH_KINDS) == expected, word
         budget = word.n_letters + 2
         assert find_move_sites(word, moves, ALL_KINDS, budget) == \
@@ -600,8 +597,8 @@ def test_partner_pairs_across_components(diagonal, spec, expected):
     sites = find_move_sites(p, diagonal.base_moves, MATCH_KINDS)
     assert [(s.kind, s.positions) for s in sites] == expected
     assert sites == _reference_matched_sites(p, diagonal.base_moves)
-    key = canonical_form(p).key
-    assert [(s.kind, s.positions) for s in find_move_sites(key, diagonal.base_moves,
+    named = canonical_form(p).to_phrase(diagonal.base_alphabet)
+    assert [(s.kind, s.positions) for s in find_move_sites(named, diagonal.base_moves,
                                                            MATCH_KINDS)] == expected
 
 
@@ -661,7 +658,7 @@ def test_kernel_matches_the_reference_on_grown_words(name):
         form = canonical_form(phrase)
         named = form.to_phrase(moves.alphabet)
         reference = _reference_matched_sites(named, moves)
-        assert find_move_sites(form.key, moves, MATCH_KINDS) == reference, form
+        assert find_move_sites(named, moves, MATCH_KINDS) == reference, form
         assert find_move_sites(phrase, moves, MATCH_KINDS) == \
             _reference_matched_sites(phrase, moves), phrase
         every = [(s, canonical_form(apply_move(named, s)))
@@ -839,9 +836,9 @@ def test_children_at_the_budget_build_no_insertion_batch(monkeypatch, name, size
 
 
 def test_budget_cut_and_the_site_finder_share_one_room_rule():
-    # moves._budget_cut and kernel._sites each write "M1ins needs one
-    # letter of room, M2ins two": the cut holds exactly when the budget
-    # drops an insertion kind that two letters of room would yield.
+    # kernel._budget_cut and kernel._sites read one room rule
+    # (kernel._fitting): the cut holds exactly when the budget drops an
+    # insertion kind that two letters of room would yield.
     curves = builtin_data("curves")
     alpha, s = curves.base_alphabet, curves.base_moves.s
     systems = [builtin_data(name).base_moves for name in ("curves", "links", "diagonal")]
